@@ -94,6 +94,7 @@ def _reference_fwht(x: np.ndarray) -> np.ndarray:
 def build(sim, scale: float = 1.0, seed: int = 0,
           injection: Injection = NO_INJECTION) -> RunPlan:
     n = scaled(2048, scale, minimum=_BLOCK_ELEMS, multiple=_BLOCK_ELEMS)
+    n = 1 << (n.bit_length() - 1)  # the transform needs a power of two
     rng = rng_for(seed)
     data = rng.integers(-8, 8, size=n).astype(np.float64)
 

@@ -545,14 +545,26 @@ class MultiDeviceOracle:
     def on_access(self, device: int, phase: int, wid: int, bid: int,
                   kind: int, base_tid: int,
                   lanes: Iterable[Tuple[int, int, int]]) -> None:
-        """One warp access: ``lanes`` yields ``(lane, addr, size)`` rows."""
+        """One warp access: ``lanes`` yields ``(lane, addr, size)`` rows.
+
+        A byte's row is not appended when the byte's previous row has the
+        same ``(device, wid, kind, stamp)`` key: :meth:`finish` keeps only
+        the first row per key, so the skipped row would be dropped anyway.
+        """
         stamp = self._epoch.get((device, wid), 0)
         self._phase_final[(device, phase, wid)] = stamp
+        table = self._bytes
         for lane, addr, size in lanes:
-            tid = base_tid + lane
-            row = (device, wid, tid, bid, kind, stamp)
+            row = (device, wid, base_tid + lane, bid, kind, stamp)
             for byte in range(addr, addr + size):
-                self._bytes.setdefault((phase, byte), []).append(row)
+                rows = table.get((phase, byte))
+                if rows is None:
+                    table[(phase, byte)] = [row]
+                    continue
+                last = rows[-1]
+                if (last[1] != wid or last[0] != device or last[5] != stamp
+                        or last[4] != kind):
+                    rows.append(row)
 
     def on_fence(self, device: int, phase: int, wid: int, scope: int) -> None:
         """One fence; only system scope (1) publishes across devices."""
@@ -572,31 +584,58 @@ class MultiDeviceOracle:
                               sys_fenced_after=final > stamp)
 
     def finish(self) -> List[CrossDeviceRace]:
-        """Judge every cross-device pair; returns deduplicated races."""
-        for (phase, byte), rows in sorted(self._bytes.items()):
+        """Judge every cross-device pair; returns deduplicated races.
+
+        A race key includes its byte, so bytes are judged independently,
+        in any order. The bytes of one access usually carry identical
+        unique rows; the verdicts of the previous byte are reused while
+        that ``(phase, rows)`` signature repeats.
+        """
+        last_sig: Optional[Tuple[int, Tuple[Any, ...]]] = None
+        verdicts: List[Tuple[RaceKind, RaceCategory,
+                             DeviceEndpoint, DeviceEndpoint]] = []
+        for (phase, byte), rows in self._bytes.items():
+            if len(rows) < 2:
+                continue
             # dedupe interchangeable endpoints: same (device, warp, kind,
             # fence stamp) rows pair identically against everything
             unique: Dict[Tuple[int, int, int, int],
                          Tuple[int, int, int, int, int, int]] = {}
             for row in rows:
                 unique.setdefault((row[0], row[1], row[4], row[5]), row)
-            eps = [self._endpoint(phase, row) for row in unique.values()]
-            for i, a in enumerate(eps):
-                for b in eps[i + 1:]:
-                    verdict = cross_device_verdict(a, b)
-                    if verdict is None:
-                        continue
-                    kind, category = verdict
-                    key = (phase, byte, kind, category)
-                    if key not in self._races:
-                        lo, hi = ((a, b) if a.device < b.device else (b, a))
-                        self._races[key] = CrossDeviceRace(
-                            byte=byte, kind=kind, category=category,
-                            phase=phase,
-                            first_device=lo.device,
-                            second_device=hi.device,
-                            first_tid=lo.tid, second_tid=hi.tid)
+            sig = (phase, tuple(unique.values()))
+            if sig != last_sig:
+                last_sig = sig
+                verdicts = self._judge(phase, sig[1])
+            for kind, category, lo, hi in verdicts:
+                key = (phase, byte, kind, category)
+                if key not in self._races:
+                    self._races[key] = CrossDeviceRace(
+                        byte=byte, kind=kind, category=category,
+                        phase=phase,
+                        first_device=lo.device, second_device=hi.device,
+                        first_tid=lo.tid, second_tid=hi.tid)
         return [self._races[key] for key in sorted(self._races)]
+
+    def _judge(self, phase: int,
+               rows: Tuple[Tuple[int, int, int, int, int, int], ...]
+               ) -> List[Tuple[RaceKind, RaceCategory,
+                               DeviceEndpoint, DeviceEndpoint]]:
+        """The first racing pair per ``(kind, category)`` among one byte's
+        unique rows, as ``(kind, category, lo, hi)`` (lo: lower device)."""
+        if (len({row[0] for row in rows}) < 2
+                or all(row[4] == _READ for row in rows)):
+            return []
+        eps = [self._endpoint(phase, row) for row in rows]
+        first: Dict[Tuple[RaceKind, RaceCategory],
+                    Tuple[DeviceEndpoint, DeviceEndpoint]] = {}
+        for i, a in enumerate(eps):
+            for b in eps[i + 1:]:
+                verdict = cross_device_verdict(a, b)
+                if verdict is not None and verdict not in first:
+                    first[verdict] = (a, b) if a.device < b.device else (b, a)
+        return [(kind, category, lo, hi)
+                for (kind, category), (lo, hi) in first.items()]
 
 
 def cross_device_entries(races: Iterable[CrossDeviceRace],

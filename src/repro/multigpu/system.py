@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import DetectionMode, GPUConfig, HAccRGConfig, scaled_gpu_config
@@ -268,23 +269,24 @@ class MultiGPUSimulator:
     def _analyze_access(self, phase: int, cycle: int, device: int,
                         payload: Tuple[Any, ...]) -> None:
         _, wid, bid, kind, base_tid, rows = payload
-        tlb = self.pool.tlbs[device]
+        pool = self.pool
+        tlb = pool.tlbs[device]
         shadowed = self.detector_config is not None
         remote: Dict[int, int] = {}
         vpns: Dict[int, None] = {}
         shared_rows: List[Tuple[int, int, int]] = []
-        for lane, addr, size in rows:
-            if shadowed:
-                tlb.access_cycles(addr)
-            else:
-                tlb.translate(addr)
-            vpn = self.pool.vpn_of(addr)
-            if self.pool.is_shared_addr(addr):
+        # price and place each run of consecutive lanes on one page once
+        for vpn, group in groupby(rows, key=lambda row: pool.vpn_of(row[1])):
+            run = list(group)
+            addr = run[0][1]
+            tlb.access_run(addr, len(run), shadowed)
+            if pool.is_shared_addr(addr):
                 vpns[vpn] = None
-                shared_rows.append((lane, addr, size))
-            home = self.pool.home_of_addr(addr)
+                shared_rows.extend(run)
+            home = pool.home_of_addr(addr)
             if home is not None and home != device:
-                remote[home] = remote.get(home, 0) + size
+                remote[home] = (remote.get(home, 0)
+                                + sum(size for _, _, size in run))
         for vpn in vpns:
             self.directory.note_access(vpn, device, kind)
         for home, nbytes in sorted(remote.items()):

@@ -117,6 +117,9 @@ class ShardedWorkerPool:
         self._inbox: "stdqueue.Queue[Optional[_Task]]" = stdqueue.Queue()
         self._depth = 0
         self._depth_lock = threading.Lock()
+        #: orders submissions against stopping: a task put on the inbox
+        #: before ``_stop`` is set is always drained by the supervisor
+        self._submit_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -135,11 +138,12 @@ class ShardedWorkerPool:
         self._thread.start()
 
     def stop(self) -> None:
+        with self._submit_lock:
+            self._stop.set()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
         if self._thread is not None:
-            self._stop.set()
             self._inbox.put(None)
             self._thread.join(timeout=30)
             self._thread = None
@@ -154,17 +158,18 @@ class ShardedWorkerPool:
     def submit(self, key: str, record: Dict[str, Any],
                shard_hint: str) -> "Future[JobOutcome]":
         """Enqueue one job record; the future resolves to its outcome."""
-        if self._stop.is_set():
-            raise RuntimeError("worker pool is stopped")
         future: "Future[JobOutcome]" = Future()
-        with self._depth_lock:
-            self._depth += 1
-        future.add_done_callback(self._on_done)
-        if self._executor is not None:
-            self._executor.submit(self._run_inline, key, record, future)
-        else:
-            shard = int(shard_hint[:16] or "0", 16) if shard_hint else 0
-            self._inbox.put(_Task(key, record, shard, future))
+        with self._submit_lock:
+            if self._stop.is_set():
+                raise RuntimeError("worker pool is stopped")
+            with self._depth_lock:
+                self._depth += 1
+            future.add_done_callback(self._on_done)
+            if self._executor is not None:
+                self._executor.submit(self._run_inline, key, record, future)
+            else:
+                shard = int(shard_hint[:16] or "0", 16) if shard_hint else 0
+                self._inbox.put(_Task(key, record, shard, future))
         return future
 
     def _on_done(self, future: "Future[JobOutcome]") -> None:
@@ -214,10 +219,10 @@ class ShardedWorkerPool:
 
         ctx = multiprocessing.get_context(self.start_method)
         result_q = ctx.Queue()
-        pool: List[SpawnWorker] = [SpawnWorker(ctx, wid, result_q)
-                               for wid in range(self.workers)]
+        pool: List[SpawnWorker] = []
         backlog: List[List[_Task]] = [[] for _ in range(self.workers)]
         active: Dict[int, _Task] = {}
+        failure = "service shutting down"
 
         def settle(wid: int, task: _Task, status: str, record, error,
                    elapsed: float) -> None:
@@ -238,6 +243,8 @@ class ShardedWorkerPool:
             self.stats["respawns"] += 1
 
         try:
+            for wid in range(self.workers):
+                pool.append(SpawnWorker(ctx, wid, result_q))
             while not self._stop.is_set():
                 # 1. pull new submissions into their shard's backlog
                 try:
@@ -293,6 +300,10 @@ class ShardedWorkerPool:
                         settle(i, task, CRASHED, None,
                                f"worker process died (exit code {exitcode})",
                                0.0)
+        except Exception as exc:  # noqa: BLE001 - e.g. a worker cannot spawn
+            failure = f"worker pool failed: {type(exc).__name__}: {exc}"
+            with self._submit_lock:
+                self._stop.set()  # later submissions raise, never hang
         finally:
             for worker in pool:
                 worker.stop()
@@ -310,8 +321,7 @@ class ShardedWorkerPool:
             for task in leftovers:
                 if not task.future.done():
                     task.future.set_result(JobOutcome(
-                        task.key, ERROR, None, "service shutting down",
-                        task.attempts, 0.0))
+                        task.key, ERROR, None, failure, task.attempts, 0.0))
             result_q.close()
             result_q.join_thread()
 

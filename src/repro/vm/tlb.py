@@ -109,6 +109,15 @@ class _LRUArray:
             del self._slots[victim]
         self._slots[key] = self._tick
 
+    def repeat_hits(self, keys: Tuple[Any, ...], times: int) -> None:
+        """``times`` rounds of hitting lookups of the resident ``keys``,
+        in order: only the ticks of the last round survive."""
+        self._tick += len(keys) * times
+        tick = self._tick - len(keys)
+        for key in keys:
+            tick += 1
+            self._slots[key] = tick
+
     def resident(self) -> int:
         return len(self._slots)
 
@@ -160,6 +169,36 @@ class TaggedTLB:
         _, c1 = self.translate(vaddr)
         _, c2 = self.shadow_translate(vaddr)
         return c1 + c2
+
+    def access_run(self, vaddr: int, count: int, shadowed: bool) -> int:
+        """``count`` accesses in a row to the page of ``vaddr``.
+
+        Equivalent to ``count`` calls of :meth:`access_cycles`
+        (``shadowed``) or of :meth:`translate`, and returns their summed
+        cycles. Only the first access can miss: with two or more entries
+        it leaves every key of the page resident, so the rest are hits
+        whose counters and LRU ticks are applied in one step.
+        """
+        def one() -> int:
+            if shadowed:
+                return self.access_cycles(vaddr)
+            return self.translate(vaddr)[1]
+
+        if self._array.capacity < 2:
+            return sum(one() for _ in range(count))
+        cycles = one()
+        rest = count - 1
+        if rest < 1:
+            return cycles
+        vpn = self._pt.vpn_of(vaddr)
+        keys = ((0, vpn), (1, vpn)) if shadowed else ((0, vpn),)
+        self.stats.app_accesses += rest
+        self.stats.app_hits += rest
+        if shadowed:
+            self.stats.shadow_accesses += rest
+            self.stats.shadow_hits += rest
+        self._array.repeat_hits(keys, rest)
+        return cycles + rest * len(keys) * self.lookup_cycles
 
 
 class SplitTLB:

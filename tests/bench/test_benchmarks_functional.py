@@ -46,6 +46,15 @@ def test_different_seed_still_verifies(name):
     plan.verify()
 
 
+@pytest.mark.parametrize("scale", [0.2, 0.4])
+def test_fwalsh_verifies_at_non_power_of_two_scales(scale):
+    """Scales whose nominal size is no power of two still transform."""
+    sim = GPUSimulator(GPUConfig(**SMALL_GPU), timing_enabled=False)
+    plan = get_benchmark("FWALSH").plan(sim, scale=scale)
+    plan.run(sim)
+    plan.verify()
+
+
 def test_offt_fixed_output_statistics():
     """OFFT has no closed-form verifier; its fixed spectrum must be
     fully populated in the owned half-plane and deterministic."""

@@ -3,12 +3,14 @@ retry, and (spawn-mode) timeout kill and crash isolation."""
 
 import asyncio
 import concurrent.futures
+import threading
 import time
 
 import pytest
 
 from repro.campaign.jobs import JOB_EXECUTORS
 from repro.campaign.pool import CRASHED, ERROR, OK, TIMEOUT
+from repro.serve import scheduler as scheduler_mod
 from repro.serve.scheduler import (
     Backpressure,
     RateLimited,
@@ -87,6 +89,12 @@ class TestInlinePool:
         with pytest.raises(RuntimeError, match="stopped"):
             pool.submit("k", make_record("ok"), "00")
 
+    def test_inline_submit_after_stop_raises(self):
+        pool = self._pool()
+        pool.stop()
+        with pytest.raises(RuntimeError, match="stopped"):
+            pool.submit("k", make_record("ok"), "00")
+
 
 @pytest.mark.slow
 class TestProcessPool:
@@ -130,6 +138,74 @@ class TestProcessPool:
             out = fut.result(5)
             assert out.status == ERROR
             assert "shutting down" in out.error
+
+
+class _StubWorker:
+    """Stands in for a spawned worker that started fine."""
+
+    def __init__(self, ctx, worker_id, result_q):
+        self.worker_id = worker_id
+        self.current = None
+        self.stopped = False
+
+    def stop(self):
+        self.stopped = True
+
+
+class TestSpawnFailure:
+    """A worker that cannot spawn fails the pool's jobs, never hangs them."""
+
+    def test_queued_job_settles_and_spawned_workers_stop(self, monkeypatch):
+        spawned = []
+
+        def spawn(ctx, worker_id, result_q):
+            if spawned:
+                raise OSError("cannot spawn")
+            spawned.append(_StubWorker(ctx, worker_id, result_q))
+            return spawned[-1]
+
+        monkeypatch.setattr(scheduler_mod, "SpawnWorker", spawn)
+        pool = ShardedWorkerPool(workers=2, retries=0)
+        queued = pool.submit("kq", make_record("ok"), "00")
+        pool.start()
+        try:
+            out = queued.result(10)
+            assert out.status == ERROR
+            assert "OSError: cannot spawn" in out.error
+            assert spawned[0].stopped
+            with pytest.raises(RuntimeError, match="stopped"):
+                pool.submit("kl", make_record("ok"), "00")
+        finally:
+            pool.stop()
+
+    def test_scheduler_job_leaves_running(self, monkeypatch, tmp_path):
+        submitted = threading.Event()
+
+        def spawn(ctx, worker_id, result_q):
+            submitted.wait(10)
+            raise OSError("cannot spawn")
+
+        monkeypatch.setattr(scheduler_mod, "SpawnWorker", spawn)
+        pool = ShardedWorkerPool(workers=1, retries=0)
+        sched, _, _ = _scheduler(tmp_path, pool=pool, rate=10_000.0,
+                                 burst=10_000.0)
+
+        async def drive():
+            pool.start()
+            try:
+                state = sched.submit("c", _replay_job(tmp_path))
+                submitted.set()
+                deadline = time.monotonic() + 10
+                while (state.status == "running"
+                       and time.monotonic() < deadline):
+                    await asyncio.sleep(0.01)
+                return state
+            finally:
+                pool.stop()
+
+        state = asyncio.run(drive())
+        assert state.status == ERROR
+        assert "cannot spawn" in state.error
 
 
 # ---------------------------------------------------------------------------

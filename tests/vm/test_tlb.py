@@ -1,5 +1,7 @@
 """Unit tests for the tagged vs split shadow-TLB mechanisms."""
 
+import random
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -54,6 +56,45 @@ class TestTaggedTLB:
     def test_rejects_zero_entries(self):
         with pytest.raises(ConfigError):
             TaggedTLB(0, make_pt())
+
+
+def _runs(seed, pages):
+    """A stream of (vaddr, count) same-page runs over ``pages`` pages."""
+    rng = random.Random(seed)
+    return [(rng.randrange(pages) * 4096 + 4 * rng.randrange(1024),
+             rng.randint(1, 32)) for _ in range(60)]
+
+
+class TestAccessRun:
+    """``access_run`` must equal the per-lane loop it replaces."""
+
+    @pytest.mark.parametrize("entries", [1, 2, 16])
+    @pytest.mark.parametrize("shadowed", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_lane_loop(self, entries, shadowed, seed):
+        pages = 2 * entries + 3
+        lanes = TaggedTLB(entries, make_pt(pages + 1))
+        runs = TaggedTLB(entries, make_pt(pages + 1))
+        for vaddr, count in _runs(seed, pages):
+            page = vaddr - vaddr % 4096
+            want = 0
+            for k in range(count):  # lanes walk the run's one page
+                addr = page + (vaddr + 4 * k) % 4096
+                want += (lanes.access_cycles(addr) if shadowed
+                         else lanes.translate(addr)[1])
+            assert runs.access_run(vaddr, count, shadowed) == want
+            assert runs.stats.record() == lanes.stats.record()
+            assert runs._array._slots == lanes._array._slots
+        # a later miss must pick the same victim
+        fresh = pages * 4096
+        if shadowed:
+            lanes.access_cycles(fresh)
+            runs.access_cycles(fresh)
+        else:
+            lanes.translate(fresh)
+            runs.translate(fresh)
+        assert set(runs._array._slots) == set(lanes._array._slots)
+        assert runs.stats.record() == lanes.stats.record()
 
 
 class TestSplitTLB:

@@ -73,23 +73,17 @@ def _worker_main(worker_id: int, task_q, result_q) -> None:
 class SpawnWorker:
     """Supervisor-side handle on one spawned worker process.
 
-    Generic over the worker entry point: ``target(worker_id, task_q,
-    result_q)`` runs in the child. Campaign pools use the job-executing
-    :func:`_worker_main`; epoch-sharded simulation
-    (:mod:`repro.gpu.epoch`) reuses the same spawn/kill/respawn machinery
-    with its shard dispatcher as the target. A ``None`` on the task queue
-    always means "shut down".
+    The child runs the job-executing :func:`_worker_main`. A ``None`` on
+    the task queue always means "shut down".
     """
 
-    def __init__(self, ctx, worker_id: int, result_q,
-                 target: Callable[..., None] = _worker_main) -> None:
+    def __init__(self, ctx, worker_id: int, result_q) -> None:
         self.ctx = ctx
         self.worker_id = worker_id
         self.result_q = result_q
-        self.target = target
         self.task_q = ctx.SimpleQueue()
         self.process = ctx.Process(
-            target=target,
+            target=_worker_main,
             args=(worker_id, self.task_q, result_q),
             daemon=True,
         )
@@ -298,7 +292,6 @@ class WorkerPool:
         return outcomes
 
     def _respawn(self, ctx, dead: SpawnWorker, result_q) -> SpawnWorker:
-        replacement = SpawnWorker(ctx, dead.worker_id, result_q,
-                              target=dead.target)
+        replacement = SpawnWorker(ctx, dead.worker_id, result_q)
         replacement.busy_seconds = dead.busy_seconds
         return replacement

@@ -18,6 +18,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.fsutil import atomic_write
+
 STATE_SCHEMA = 1
 
 PENDING = "pending"
@@ -90,10 +92,7 @@ class CampaignState:
             "campaign": self.campaign,
             "jobs": [asdict(js) for js in self.jobs.values()],
         }
-        tmp = self.path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=1, sort_keys=True)
-        os.replace(tmp, self.path)
+        atomic_write(self.path, json.dumps(data, indent=1, sort_keys=True))
 
     # ------------------------------------------------------------------
     # transitions

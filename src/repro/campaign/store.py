@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.campaign.jobs import JOB_SCHEMA, Job
+from repro.common.fsutil import atomic_write
 
 #: store layout version (independent of JOB_SCHEMA, which keys the hash)
 STORE_SCHEMA = 1
@@ -89,10 +90,7 @@ class ResultStore:
             "elapsed": elapsed,
             "result": result,
         }
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True)
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(entry, sort_keys=True))
         return path
 
     # ------------------------------------------------------------------

@@ -201,11 +201,6 @@ def _cmd_reproduce(args) -> int:
         # renders the one section that is.
         print(_multigpu_section(args.scale, gpus=args.gpus))
         return 0
-    if args.sm_workers is not None:
-        # the env var is how the setting reaches every simulator the
-        # render path builds (and, like REPRO_FAST_PATH, it is excluded
-        # from campaign job digests — cached cells stay valid)
-        os.environ["REPRO_SM_WORKERS"] = str(args.sm_workers)
     if args.profile:
         # profile the single-process render path: the cProfile stats
         # cover simulation + detection end to end, which is what the
@@ -739,12 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="retries per failed job (parallel only)")
     rep_p.add_argument("--quiet", action="store_true",
                        help="suppress per-job progress lines")
-    rep_p.add_argument("--sm-workers", type=int, default=None,
-                       metavar="N",
-                       help="shard each simulation's SMs across N "
-                            "processes with the epoch-sliced engine "
-                            "(bit-identical to inline; 0 = inline, "
-                            "the default)")
     rep_p.add_argument("--profile", action="store_true",
                        help="run under cProfile and dump the hottest "
                             "functions to stderr (single-process only)")

@@ -16,6 +16,7 @@ from repro.common.types import (
 )
 from repro.common.config import GPUConfig, HAccRGConfig, DetectionMode, DetectorBackend
 from repro.common.errors import ReproError, ConfigError, KernelError, SimulationError
+from repro.common.fsutil import atomic_write
 from repro.common.bitops import (
     is_power_of_two,
     ceil_div,
@@ -47,4 +48,5 @@ __all__ = [
     "align_down",
     "align_up",
     "mask_bits",
+    "atomic_write",
 ]

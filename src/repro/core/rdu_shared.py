@@ -50,7 +50,6 @@ class SharedRDU:
         self._tables[block.block_id] = SharedShadowTable(
             region, self.config.shared_granularity, self.log,
             regroup=self.config.warp_regrouping,
-            fast_path=self.config.fast_path,
         )
         if shadow_base is not None:
             self._shadow_base[block.block_id] = shadow_base

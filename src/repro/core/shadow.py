@@ -25,7 +25,6 @@ from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from repro.common.config import default_fast_path
 from repro.common.types import (
     AccessKind,
     MemSpace,
@@ -55,17 +54,14 @@ class SharedShadowTable:
     """Shadow entries for one thread block's shared memory."""
 
     def __init__(self, region_bytes: int, granularity: int,
-                 log: RaceLog, regroup: bool = False,
-                 fast_path: Optional[bool] = None) -> None:
+                 log: RaceLog, regroup: bool = False) -> None:
         self.gmap = GranularityMap(granularity)
         self.n = self.gmap.num_entries(region_bytes)
         self.log = log
-        self.regroup = regroup
         # the batched kernel compares owners by warp id; under re-grouping
         # ownership is per-thread and every duplicate-entry access would
         # fall back anyway, so run the scalar state machine throughout
-        self.fast_path = ((default_fast_path() if fast_path is None
-                           else fast_path) and not regroup)
+        self.regroup = regroup
         # entry fields; virgin encoded as M=1, S=1
         self.tid = np.full(self.n, -1, dtype=np.int64)
         self.wid = np.full(self.n, -1, dtype=np.int64)
@@ -121,12 +117,12 @@ class SharedShadowTable:
     def check(self, access: WarpAccess) -> int:
         """Run the state machine for every (entry, lane) of a warp access.
 
-        Returns the number of distinct new races reported. With the fast
-        path enabled the warp's lanes are classified in one vectorized
-        pass and only race-candidate lanes run the scalar state machine;
-        results are bit-identical (see :meth:`_check_batch`).
+        Returns the number of distinct new races reported. The warp's
+        lanes are classified in one vectorized pass and only
+        race-candidate lanes run the scalar state machine; results are
+        bit-identical to :meth:`_check_scalar` (see :meth:`_check_batch`).
         """
-        if self.fast_path and access.lanes:
+        if not self.regroup and access.lanes:
             fast = self._check_batch(access)
             if fast is not None:
                 return fast

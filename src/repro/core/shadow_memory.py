@@ -80,12 +80,11 @@ class GlobalShadowMemory:
         self.n = self.gmap.num_entries(max(1, region_bytes))
         self.log = log
         self.rrf = rrf
+        # batched kernel compares owners by warp id; per-thread ownership
+        # under re-grouping keeps the scalar walk (see _check_batch)
         self.regroup = config.warp_regrouping
         self.shadow_base = shadow_base  # device address of the shadow region
         self.stats = GlobalShadowStats()
-        # batched kernel compares owners by warp id; per-thread ownership
-        # under re-grouping keeps the scalar walk (see _check_batch)
-        self.fast_path = config.fast_path and not self.regroup
 
         n = self.n
         self.tid = np.full(n, -1, dtype=np.int64)
@@ -172,12 +171,13 @@ class GlobalShadowMemory:
         """Process one warp access; returns the distinct entries touched.
 
         The entry list is what the RDU turns into shadow-memory traffic
-        (one read-modify-write of each entry's shadow word). With the fast
-        path enabled, accesses whose lanes map to distinct single entries
-        are classified in one vectorized pass (see :meth:`_check_batch`);
-        results — races, stats, dirtied-entry lists — are bit-identical.
+        (one read-modify-write of each entry's shadow word). Accesses
+        whose lanes map to distinct single entries are classified in one
+        vectorized pass (see :meth:`_check_batch`); results — races,
+        stats, dirtied-entry lists — are bit-identical to
+        :meth:`_check_scalar`.
         """
-        if self.fast_path and access.lanes:
+        if not self.regroup and access.lanes:
             fast = self._check_batch(access, lane_l1_hit)
             if fast is not None:
                 return fast

@@ -63,13 +63,6 @@ class Subscriber:
     #: memory request packets (the bus advertises the chain's maximum)
     request_id_bits: int = 0
 
-    #: declares that this subscriber only reads the *plain* fields of each
-    #: event (ints, WarpAccess records — never the live warp/block/thread
-    #: objects) and is therefore safe to feed from a recorded wire stream
-    #: (:mod:`repro.events.wire`). Epoch-sharded execution falls back to
-    #: the inline path when any observer on the bus is not replay-safe.
-    replay_safe: bool = False
-
     def on_kernel_start(self, ev: KernelStarted) -> None:
         """A kernel is about to execute."""
 

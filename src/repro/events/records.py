@@ -98,9 +98,8 @@ class FenceIssued:
     ``scope`` distinguishes device-scope from system-scope fences
     (``FENCE_SCOPE_*``); within one device they behave identically, so
     single-device consumers may ignore it. ``warp_id`` / ``block_id``
-    carry the issuer identity so replayed events (where ``warp`` is
-    ``None``) still attribute the fence — ``-1`` means unknown, which
-    only pre-extension wire producers emit.
+    carry the issuer identity as plain ints, so observers (the multi-GPU
+    recorder) never read the live warp object; ``-1`` means unknown.
     """
 
     warp: Any

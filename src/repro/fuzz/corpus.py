@@ -21,6 +21,7 @@ import json
 import os
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro.common.fsutil import atomic_write
 from repro.fuzz.program import FuzzProgram
 
 
@@ -72,10 +73,8 @@ class CorpusStore:
         digest = program.digest()
         path = os.path.join(self.programs_dir, f"{digest}.json")
         if not os.path.exists(path):
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(program.record(), fh, indent=2, sort_keys=True)
-            os.replace(tmp, path)
+            atomic_write(path, json.dumps(program.record(), indent=2,
+                                          sort_keys=True))
         return digest
 
     def get_program(self, digest: str) -> Optional[FuzzProgram]:
@@ -106,10 +105,7 @@ class CorpusStore:
     def write_summary(self, summary: Dict[str, Any]) -> str:
         self._ensure(self.root)
         path = os.path.join(self.root, "summary.json")
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(summary, indent=2, sort_keys=True))
         return path
 
     def read_summary(self) -> Optional[Dict[str, Any]]:

@@ -234,59 +234,19 @@ class ProgramRun:
     races: Optional[Any] = None  # RaceLog when a detector was attached
 
 
-def rebuild_fuzz_launches(payload: dict, sim) -> list:
-    """Shard-side launch rebuild for fuzz programs.
-
-    Repeats :func:`run_program`'s allocation sequence on the worker-local
-    simulator (same order, same sizes, so the bump-allocator addresses
-    align) and returns the single launch as a spec the shard converts.
-    """
-    from repro.bench.common import LaunchSpec
-
-    program = FuzzProgram.from_record(payload)
-    g = sim.malloc("fuzz_g", max(1, program.global_words))
-    bbin = sim.malloc("fuzz_bytes", max(1, program.byte_bytes), itemsize=1)
-    locks = sim.malloc("fuzz_locks", max(1, program.num_locks))
-    return [LaunchSpec(make_kernel(program), program.blocks,
-                       program.threads, (g, bbin, locks))]
-
-
 def run_program(program: FuzzProgram, detector_config=None,
-                observers=(), gpu_config=None) -> ProgramRun:
+                observers=()) -> ProgramRun:
     """Execute a program on a fresh simulator (timing off).
 
     ``detector_config`` attaches a live detector (used for the software
     baseline, which cannot be replayed); ``observers`` join at observer
-    priority (e.g. a :class:`TraceRecorder`). ``gpu_config`` overrides the
-    default scaled config — the sharded-determinism property tests use it
-    to sweep ``sm_workers``. A sharded run that trips the stall watchdog
-    is retried with a fresh simulator, like the benchmark runner.
+    priority (e.g. a :class:`TraceRecorder`).
     """
-    from repro.common.errors import ShardTimeoutError
-    from repro.harness.runner import shard_retries
-
-    attempt = 0
-    retries = shard_retries()
-    while True:
-        try:
-            return _run_program_attempt(program, detector_config,
-                                        observers, gpu_config)
-        except ShardTimeoutError:
-            attempt += 1
-            if attempt > retries:
-                raise
-
-
-def _run_program_attempt(program: FuzzProgram, detector_config,
-                         observers, gpu_config) -> ProgramRun:
     from repro.common.config import DetectionMode, scaled_gpu_config
     from repro.gpu.simulator import GPUSimulator
     from repro.harness.runner import make_detector
 
-    sim = GPUSimulator(gpu_config or scaled_gpu_config(),
-                       timing_enabled=False)
-    sim.launch_source = ("repro.fuzz.program", "rebuild_fuzz_launches",
-                         program.record())
+    sim = GPUSimulator(scaled_gpu_config(), timing_enabled=False)
     detector = None
     if detector_config is not None \
             and detector_config.mode != DetectionMode.OFF:
@@ -298,11 +258,8 @@ def _run_program_attempt(program: FuzzProgram, detector_config,
     g = sim.malloc("fuzz_g", max(1, program.global_words))
     bbin = sim.malloc("fuzz_bytes", max(1, program.byte_bytes), itemsize=1)
     locks = sim.malloc("fuzz_locks", max(1, program.num_locks))
-    try:
-        sim.launch(make_kernel(program), grid=program.blocks,
-                   block=program.threads, args=(g, bbin, locks))
-    finally:
-        sim.close()
+    sim.launch(make_kernel(program), grid=program.blocks,
+               block=program.threads, args=(g, bbin, locks))
 
     run = ProgramRun()
     run.races = detector.log if detector is not None else None

@@ -8,13 +8,13 @@ list for the batched timing/detection paths) and functional execution
 Nothing here reads or writes cycle counts; :mod:`repro.gpu.timing` prices
 the same decoded access independently.
 
-The decode fast path produces, in one pass over the lanes, both the
-per-lane records the event pipeline consumes and the address list the
-batched coalescer/bank-conflict/shadow kernels consume (the shadow tables
-lift it into an int64 vector; the warp-local timing kernels sweep it
-directly — a warp is at most 32 lanes). It is bit-identical to the scalar
-decode; ``DecodedAccess.addrs`` is simply ``None`` when the fast path is
-off or the lane sizes are not uniform.
+Decode produces, in one pass over the lanes, both the per-lane records
+the event pipeline consumes and the address list the batched
+coalescer/bank-conflict/shadow kernels consume (the shadow tables lift it
+into an int64 vector; the warp-local timing kernels sweep it directly — a
+warp is at most 32 lanes). ``DecodedAccess.addrs`` is ``None`` when the
+lane sizes are not uniform, which sends every consumer down its scalar
+walk.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ _KIND_OF = {OP_LOAD: AccessKind.READ, OP_STORE: AccessKind.WRITE}
 class DecodedAccess(NamedTuple):
     """One decoded warp memory op-group.
 
-    ``addrs`` is a per-lane address list (lane order) when the warp-batch
-    fast path is active and every lane has the same access size; ``size``
+    ``addrs`` is a per-lane address list (lane order) when every lane has
+    the same access size; ``size``
     is that uniform size (0 when ``addrs`` is None). ``critical_any`` is
     precomputed so the emission path does not rescan the lanes.
     """
@@ -64,8 +64,8 @@ def decode_lanes(code: int,
 
 
 def decode_warp(code: int, lanes: List[Tuple[int, Any]],
-                fast: bool, clean: bool = False) -> DecodedAccess:
-    """Decode an op-group; with ``fast`` also build the address vector.
+                clean: bool = False) -> DecodedAccess:
+    """Decode an op-group into lane records plus the address vector.
 
     ``clean`` asserts no lane of the issuing warp has ever executed a
     lock-acquire (``Warp.lock_touched`` is False): every lock signature
@@ -80,11 +80,6 @@ def decode_warp(code: int, lanes: List[Tuple[int, Any]],
     _new: Any = tuple.__new__
     la = LaneAccess
     if clean:
-        if not fast:
-            for lane_idx, t in lanes:
-                p = t.pending
-                append(_new(la, (lane_idx, p[2], p[3], kind, 0, False)))
-            return DecodedAccess(kind, lane_accesses, None, 0, False)
         addrs: List[int] = []
         addrs_append = addrs.append
         sz0 = lanes[0][1].pending[3] if lanes else 0
@@ -100,16 +95,6 @@ def decode_warp(code: int, lanes: List[Tuple[int, Any]],
             return DecodedAccess(kind, lane_accesses, None, 0, False)
         return DecodedAccess(kind, lane_accesses, addrs, sz0, False)
     critical_any = False
-    if not fast:
-        for lane_idx, t in lanes:
-            p = t.pending
-            crit = t.critical_depth > 0
-            if crit:
-                critical_any = True
-            append(_new(la, (lane_idx, p[2], p[3], kind,
-                             t.lock_sig, crit)))
-        return DecodedAccess(kind, lane_accesses, None, 0, critical_any)
-
     addr_list: List[int] = []
     addr_append = addr_list.append
     size0 = lanes[0][1].pending[3] if lanes else 0

@@ -19,13 +19,17 @@ and owns every dynamic statistic.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
 from repro.common.config import GPUConfig
+from repro.common.errors import SimulationError
 from repro.common.types import Dim3, KernelStats
 from repro.events import (
     EventBus,
+    KernelEnded,
+    KernelStarted,
     MetricsCollector,
     PhaseStats,
     Subscriber,
@@ -92,12 +96,6 @@ class GPUSimulator:
         self._pending_blocks: List[ThreadBlock] = []
         self._launch: Optional[KernelLaunch] = None
         self._blocks_run = 0
-        #: recipe for rebuilding this simulator's launch plan in a shard
-        #: worker: ``(module, function, payload)`` where
-        #: ``module.function(payload, sim)`` returns the launch sequence.
-        #: ``None`` (the default) keeps execution on the inline path.
-        self.launch_source: Optional[Tuple[str, str, Any]] = None
-        self._scheduler: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # host API
@@ -145,67 +143,49 @@ class GPUSimulator:
     def run(self, launch: KernelLaunch) -> SimulationResult:
         """Execute one kernel launch and return its simulation result.
 
-        The scheduler is chosen once, at the first launch, and reused for
-        the simulator's lifetime: the inline heap loop, or — when
-        ``config.sm_workers > 0`` and the run is shard-eligible — the
-        epoch-sliced sharded path (``docs/ENGINE.md``, "Epochs and
-        sharding"), which is bit-identical to inline.
+        Blocks dispatch round-robin up to residency limits, then the loop
+        always steps the SM with the smallest local cycle (ties by SM id).
         """
-        if self._scheduler is None:
-            self._scheduler = self._select_scheduler()
-        return self._scheduler.run(launch)
+        if launch.threads_per_block > self.config.max_threads_per_sm:
+            raise SimulationError(
+                f"block of {launch.threads_per_block} threads exceeds SM "
+                f"capacity {self.config.max_threads_per_sm}"
+            )
+        self._launch = launch
+        self._blocks_run = 0
+        self.bus.emit_kernel_start(
+            KernelStarted(launch=launch, device_mem=self.device_mem)
+        )
 
-    def _select_scheduler(self) -> Any:
-        from repro.gpu.epoch import EpochScheduler, InlineScheduler
-        if self._shard_eligible():
-            return EpochScheduler(self)
-        return InlineScheduler(self)
+        self._pending_blocks = [
+            ThreadBlock(launch, bid, self.config.warp_size,
+                        self.config.shared_mem_per_sm)
+            for bid in range(launch.num_blocks)
+        ]
+        # initial dispatch: fill every SM round-robin up to residency limits
+        progress = True
+        while self._pending_blocks and progress:
+            progress = False
+            for sm in self.sms:
+                if self._pending_blocks and sm.can_accept(launch):
+                    sm.admit(self._pending_blocks.pop(0))
+                    self._blocks_run += 1
+                    progress = True
 
-    def _shard_eligible(self) -> bool:
-        """Whether this simulator's runs can take the sharded path.
-
-        Anything the shard workers cannot reproduce or the coordinator
-        cannot replay falls back to the inline path silently — sharding is
-        an execution strategy, never a behaviour change:
-
-        - a ``launch_source`` recipe must exist (workers rebuild the plan
-          rather than unpickle live generator state);
-        - the current process must be able to spawn children (campaign /
-          serve workers are daemonic and cannot);
-        - the detector must be absent or a plain hardware
-          :class:`~repro.core.detector.HAccRGDetector` (the Fig. 8
-          shared-shadow-in-global variant stalls shared accesses through
-          the *global* memory system, which is coordinator state);
-        - every other bus subscriber must declare ``replay_safe``.
-        """
-        if self.config.sm_workers <= 0:
-            return False
-        if self.launch_source is None:
-            return False
-        import multiprocessing
-        if multiprocessing.current_process().daemon:
-            return False
-        detector = self.detector
-        if detector is not NULL_DETECTOR:
-            from repro.core.detector import HAccRGDetector
-            # exact type: subclasses (e.g. the software baseline) carry
-            # semantics the shard-side rebuild would silently drop
-            if type(detector) is not HAccRGDetector:
-                return False
-            if detector.config.shared_shadow_in_global:
-                return False
-        for sub in self.bus.subscribers:
-            if sub is self.metrics or sub is self._detector_sub:
+        # global loop: always advance the laggard SM
+        heap = [(sm.cycle, sm.sm_id) for sm in self.sms if sm.active]
+        heapq.heapify(heap)
+        while heap:
+            _, sm_id = heapq.heappop(heap)
+            sm = self.sms[sm_id]
+            if not sm.active:
                 continue
-            if not getattr(sub, "replay_safe", False):
-                return False
-        return True
+            sm.step()
+            if sm.active:
+                heapq.heappush(heap, (sm.cycle, sm_id))
 
-    def close(self) -> None:
-        """Release scheduler resources (shard worker processes, queues)."""
-        if self._scheduler is not None:
-            self._scheduler.close()
-            self._scheduler = None
+        self.bus.emit_kernel_end(KernelEnded())
+        return self._collect()
 
     def on_block_retired(self, sm: StreamingMultiprocessor) -> None:
         """SM callback: a block retired; dispatch a pending one if possible."""
@@ -216,23 +196,10 @@ class GPUSimulator:
 
     # ------------------------------------------------------------------
 
-    def _collect(self, launch: KernelLaunch,
-                 sm_cycles: Optional[List[int]] = None,
-                 blocks_run: Optional[int] = None) -> SimulationResult:
-        """Assemble the launch result — the ONE aggregation code path.
-
-        Both schedulers end here: the inline path reads SM cycles and the
-        dispatch count off the live objects; the sharded path passes the
-        merged per-SM cycles and the mirror's dispatch count explicitly.
-        Every derived quantity (``cycles``, ``dram_utilization``,
-        ``sm_cycles``, hit rates, phases) is computed from the same inputs
-        by the same expressions in both modes.
-        """
+    def _collect(self) -> SimulationResult:
+        """Assemble the launch result from the live SMs and collectors."""
         stats = self.metrics.total_stats()
-        if sm_cycles is None:
-            sm_cycles = [sm.cycle for sm in self.sms]
-        if blocks_run is None:
-            blocks_run = self._blocks_run
+        sm_cycles = [sm.cycle for sm in self.sms]
         cycles = max(sm_cycles, default=0)
         l1_acc, l1_hit, _ = self.memory.l1_stats_total()
         l2_acc, l2_hit, _ = self.memory.l2_stats_total()
@@ -244,8 +211,8 @@ class GPUSimulator:
             dram_shadow_bytes=self.memory.dram_shadow_bytes(),
             l1_hit_rate=l1_hit / l1_acc if l1_acc else 0.0,
             l2_hit_rate=l2_hit / l2_acc if l2_acc else 0.0,
-            sm_cycles=list(sm_cycles),
-            blocks_run=blocks_run,
+            sm_cycles=sm_cycles,
+            blocks_run=self._blocks_run,
             phases=self.metrics.snapshot(
                 shadow_traffic_bytes=self.memory.shadow_traffic_bytes()
             ),

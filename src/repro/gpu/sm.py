@@ -10,7 +10,7 @@ engine layers (``docs/ENGINE.md``):
 
 1. **decode** — :func:`repro.gpu.functional.decode_warp` turns a warp
    op-group into per-lane :class:`~repro.common.types.LaneAccess` records
-   (plus the warp address list when the fast path is on);
+   (plus the warp address list when lane sizes are uniform);
 2. **timing** — :class:`repro.gpu.timing.TimingModel` prices the access:
    bank-conflict passes, coalescing, the memory-system round trip;
 3. **emission** — the event is published exactly once on the simulator's
@@ -82,7 +82,6 @@ class StreamingMultiprocessor:
         self.warps: List[Warp] = []
         self._rr = 0
         self.timing = TimingModel(config)
-        self.fast_path = bool(config.fast_path)
         self.idle_cycles = 0
         self.retired_blocks = 0
 
@@ -229,7 +228,7 @@ class StreamingMultiprocessor:
     def _exec_shared(self, warp: Warp, code: int, lanes, issue: int) -> None:
         block = warp.block
         # decode (clean: lock-free warps skip the per-lane lock-state reads)
-        dec = functional.decode_warp(code, lanes, self.fast_path,
+        dec = functional.decode_warp(code, lanes,
                                      clean=not warp.lock_touched)
 
         # timing: bank-conflict replay passes
@@ -252,7 +251,7 @@ class StreamingMultiprocessor:
 
     def _exec_global(self, warp: Warp, code: int, lanes, issue: int) -> None:
         # decode (clean: lock-free warps skip the per-lane lock-state reads)
-        dec = functional.decode_warp(code, lanes, self.fast_path,
+        dec = functional.decode_warp(code, lanes,
                                      clean=not warp.lock_touched)
 
         # timing: coalesce and take the memory-system round trip

@@ -8,9 +8,11 @@ fence/barrier pipeline costs — while :mod:`repro.gpu.functional` computes
 the two through the event bus.
 
 Every method here is pure with respect to the simulation's functional
-state: given the same decoded access it returns the same cost whether the
-fast path is on or off. The vectorized variants (``fast_path``) are
-bit-identical to the scalar ones; the golden-parity gate runs both.
+state: given the same decoded access it returns the same cost. The
+batched kernels take the warp address vector when decode produced one and
+fall back to the scalar walk otherwise (non-uniform lane sizes, lanes
+straddling a segment, bank geometry without shift/mask arithmetic); both
+are bit-identical, which the property tests check.
 
 Timing is computed even when the simulator's ``timing_enabled`` flag is
 off: costs feed ``warp.ready_at`` and therefore the event *order*, which
@@ -105,10 +107,9 @@ class TimingModel:
         self.shared_model = SharedMemoryModel(
             config.shared_mem_banks, config.shared_bank_width
         )
-        # the vectorized bank-conflict kernel needs shift/mask arithmetic
-        self._fast = (
-            config.fast_path
-            and is_power_of_two(config.shared_bank_width)
+        # the batched bank-conflict kernel needs shift/mask arithmetic
+        self._fast_banks = (
+            is_power_of_two(config.shared_bank_width)
             and is_power_of_two(config.shared_mem_banks)
         )
         self._bank_shift = (log2_exact(config.shared_bank_width)
@@ -121,7 +122,7 @@ class TimingModel:
                     addrs: Optional[Sequence[int]],
                     issue: int) -> int:
         """Cost of one shared-memory warp access (latency + replay passes)."""
-        if self._fast and addrs is not None:
+        if self._fast_banks and addrs is not None:
             passes = self._conflict_passes_fast(addrs)
         else:
             passes = self.shared_model.conflict_passes(lane_accesses)
@@ -159,7 +160,7 @@ class TimingModel:
                             addrs: Optional[Sequence[int]],
                             size: int, is_write: bool) -> List[Transaction]:
         """Coalesce one global warp access into memory transactions."""
-        if self._fast and addrs is not None and size > 0:
+        if addrs is not None and size > 0:
             return coalesce_fast(addrs, size, is_write, lane_accesses)
         return coalesce(lane_accesses, is_write)
 
@@ -167,7 +168,7 @@ class TimingModel:
                              addrs: Optional[Sequence[int]],
                              issue: int) -> int:
         """Extra cycles for same-address atomics (serialize in lane order)."""
-        if self._fast and addrs is not None:
+        if addrs is not None:
             if not addrs:
                 return 0
             per: Dict[int, int] = {}

@@ -542,8 +542,7 @@ def replay(events: Sequence[TraceEvent],
             if cfg.mode.shared_enabled and ev.shared_bytes:
                 shared_tables[ev.block_id] = SharedShadowTable(
                     ev.shared_bytes, cfg.shared_granularity, log,
-                    regroup=cfg.warp_regrouping,
-                    fast_path=cfg.fast_path)
+                    regroup=cfg.warp_regrouping)
         elif ev.kind == _BLOCK_END:
             shared_tables.pop(ev.block_id, None)
         elif ev.kind == _BARRIER:

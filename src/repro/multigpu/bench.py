@@ -35,37 +35,12 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.bench.common import Injection, NO_INJECTION, scaled
 from repro.common.types import RaceCategory, RaceKind
-from repro.gpu.device import DeviceArray, DeviceMemory, device_alloc
+from repro.gpu.device import DeviceArray
 from repro.gpu.kernel import Kernel
-from repro.gpu.simulator import GPUSimulator
 from repro.multigpu.memory import SharedPagePool
 from repro.multigpu.system import MGLaunch
 
 _BLOCK = 32
-
-
-class MGAllocator:
-    """Placement-aware allocator replayed identically on shard workers.
-
-    On the coordinator it routes through the :class:`SharedPagePool`
-    (page tables, directory registration); in a shard worker's
-    ``rebuild_mg_launches`` the pool is absent and only the bump-allocator
-    address sequence matters — it must match the coordinator byte for
-    byte, which it does because both paths allocate in build order from
-    the same :class:`~repro.gpu.device.DeviceMemory` state.
-    """
-
-    def __init__(self, mem: DeviceMemory,
-                 pool: Optional[SharedPagePool] = None) -> None:
-        self.mem = mem
-        self.pool = pool
-
-    def alloc(self, name: str, length: int, itemsize: int = 4,
-              home: int = 0, shared: bool = False) -> DeviceArray:
-        if self.pool is not None:
-            return self.pool.alloc(name, length, itemsize=itemsize,
-                                   home=home, shared=shared)
-        return device_alloc(self.mem, name, length, itemsize)
 
 
 @dataclass
@@ -89,9 +64,9 @@ class MGBenchmark:
     injection_sites: Dict[str, str] = field(default_factory=dict)
     has_real_race: bool = False
 
-    def plan(self, alloc: MGAllocator, gpus: int, scale: float = 1.0,
+    def plan(self, pool: SharedPagePool, gpus: int, scale: float = 1.0,
              seed: int = 0, injection: str = "") -> MGPlan:
-        return self.build(alloc, gpus=gpus, scale=scale, seed=seed,
+        return self.build(pool, gpus=gpus, scale=scale, seed=seed,
                           injection=injection)
 
 
@@ -283,15 +258,15 @@ def mg_unified_collect(ctx: Any, counters: DeviceArray, c: int,
 # ---------------------------------------------------------------------------
 
 
-def build_ring(alloc: MGAllocator, gpus: int, scale: float = 1.0,
+def build_ring(pool: SharedPagePool, gpus: int, scale: float = 1.0,
                seed: int = 0, injection: str = "") -> MGPlan:
     inj = mg_injection("MG_RING", injection)
     n = scaled(256, scale, minimum=32, multiple=32)
     grid = 2
     nthreads = grid * _BLOCK
-    bufs = [alloc.alloc(f"ring_buf{d}", n, home=d, shared=True)
+    bufs = [pool.alloc(f"ring_buf{d}", n, home=d, shared=True)
             for d in range(gpus)]
-    outs = [alloc.alloc(f"ring_out{d}", nthreads, home=d)
+    outs = [pool.alloc(f"ring_out{d}", nthreads, home=d)
             for d in range(gpus)]
     kernel_w = Kernel(mg_ring_write, name="mg_ring_write")
     kernel_r = Kernel(mg_ring_reduce, name="mg_ring_reduce")
@@ -317,15 +292,15 @@ def build_ring(alloc: MGAllocator, gpus: int, scale: float = 1.0,
                   data_bytes=gpus * (n + nthreads) * 4)
 
 
-def build_prodcons(alloc: MGAllocator, gpus: int, scale: float = 1.0,
+def build_prodcons(pool: SharedPagePool, gpus: int, scale: float = 1.0,
                    seed: int = 0, injection: str = "") -> MGPlan:
     inj = mg_injection("MG_PRODCONS", injection)
     n = scaled(256, scale, minimum=32, multiple=32)
     grid = 2
     nthreads = grid * _BLOCK
-    data = alloc.alloc("pc_data", n, home=0, shared=True)
-    flag = alloc.alloc("pc_flag", 1, home=0, shared=True)
-    sinks = [alloc.alloc(f"pc_sink{d}", nthreads, home=d)
+    data = pool.alloc("pc_data", n, home=0, shared=True)
+    flag = pool.alloc("pc_flag", 1, home=0, shared=True)
+    sinks = [pool.alloc(f"pc_sink{d}", nthreads, home=d)
              for d in range(1, gpus)]
     kernel_p = Kernel(mg_produce, name="mg_produce")
     kernel_c = Kernel(mg_consume, name="mg_consume")
@@ -346,15 +321,15 @@ def build_prodcons(alloc: MGAllocator, gpus: int, scale: float = 1.0,
                   data_bytes=(n + 1 + (gpus - 1) * nthreads) * 4)
 
 
-def build_halo(alloc: MGAllocator, gpus: int, scale: float = 1.0,
+def build_halo(pool: SharedPagePool, gpus: int, scale: float = 1.0,
                seed: int = 0, injection: str = "") -> MGPlan:
     mg_injection("MG_HALO", injection)  # validates the name ("" only)
     h = scaled(64, scale, minimum=16, multiple=16)
     grid = 1
     nthreads = grid * _BLOCK
-    halos = [alloc.alloc(f"halo{j}", h, home=j, shared=True)
+    halos = [pool.alloc(f"halo{j}", h, home=j, shared=True)
              for j in range(gpus - 1)]
-    outs = [alloc.alloc(f"halo_out{d}", nthreads, home=d)
+    outs = [pool.alloc(f"halo_out{d}", nthreads, home=d)
             for d in range(gpus)]
     kernel = Kernel(mg_halo_kernel, name="mg_halo")
     phase0 = [
@@ -368,14 +343,14 @@ def build_halo(alloc: MGAllocator, gpus: int, scale: float = 1.0,
                   data_bytes=((gpus - 1) * h + gpus * nthreads) * 4)
 
 
-def build_unified(alloc: MGAllocator, gpus: int, scale: float = 1.0,
+def build_unified(pool: SharedPagePool, gpus: int, scale: float = 1.0,
                   seed: int = 0, injection: str = "") -> MGPlan:
     inj = mg_injection("MG_UNIFIED", injection)
     n = scaled(128, scale, minimum=32, multiple=32)
     c = 8
     grid = 1
-    counters = alloc.alloc("uni_counters", c, home=0, shared=True)
-    result = alloc.alloc("uni_result", 1, home=0)
+    counters = pool.alloc("uni_counters", c, home=0, shared=True)
+    result = pool.alloc("uni_result", 1, home=0)
     kernel_a = Kernel(mg_atomic_accum, name="mg_atomic_accum")
     kernel_f = Kernel(mg_unified_collect, name="mg_unified_collect")
     phase0 = [
@@ -396,7 +371,7 @@ def build_unified(alloc: MGAllocator, gpus: int, scale: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# registry + shard rebuild
+# registry
 # ---------------------------------------------------------------------------
 
 MG_BENCHMARKS: Tuple[MGBenchmark, ...] = (
@@ -439,22 +414,3 @@ def get_mg_benchmark(name: str) -> MGBenchmark:
             f"choose from {sorted(_BY_NAME)}"
         ) from None
 
-
-def rebuild_mg_launches(payload: Dict[str, Any],
-                        sim: GPUSimulator) -> List[MGLaunch]:
-    """Shard-side rebuild: one device's flat launch list, run order.
-
-    The worker replays the *entire* multi-device allocation sequence
-    against its private device memory (the bump allocator is
-    deterministic, so every address matches the coordinator's) and
-    returns this device's launches flattened across phases — exactly the
-    order :meth:`repro.multigpu.system.MultiGPUSimulator.run_phase`
-    executes them in.
-    """
-    bench = get_mg_benchmark(payload["bench"])
-    alloc = MGAllocator(sim.device_mem, pool=None)
-    plan = bench.plan(alloc, gpus=payload["gpus"], scale=payload["scale"],
-                      seed=payload["seed"], injection=payload["injection"])
-    device = payload["device"]
-    return [ls for phase in plan.phases for ls in phase
-            if ls.device == device]

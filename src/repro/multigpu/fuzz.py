@@ -14,9 +14,8 @@ All operations are whole-word on a 4-byte array and the detector granule
 is 4 bytes, so byte-exact and granule-level entry sets coincide — entry
 diffs are meaningful, not aliasing noise.
 
-Programs serialize to plain JSON records; ``rebuild_mg_fuzz_launches``
-rebuilds a device's flat launch list from the record, so fuzz iterations
-are shard-eligible like every other multi-GPU run.
+Programs are plain JSON records; the multi-device static analyzer reads
+the same record (:func:`mg_static_report`).
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import Any, Dict, List, Optional
 from repro.common.config import GPUConfig, HAccRGConfig
 from repro.gpu.device import DeviceArray
 from repro.gpu.kernel import Kernel
-from repro.gpu.simulator import GPUSimulator
 from repro.multigpu.system import MGLaunch, MultiGPUSimulator
 
 _BLOCK = 32
@@ -144,19 +142,6 @@ def _program_phases(program: Dict[str, Any],
     ]
 
 
-def rebuild_mg_fuzz_launches(payload: Dict[str, Any],
-                             sim: GPUSimulator) -> List[MGLaunch]:
-    """Shard-side rebuild: replay the allocation, return device launches."""
-    from repro.gpu.device import device_alloc
-
-    program = payload["program"]
-    n = int(program["params"]["n"])
-    buf = device_alloc(sim.device_mem, "mg_fuzz_buf", n)
-    device = payload["device"]
-    return [ls for phase in _program_phases(program, buf) for ls in phase
-            if ls.device == device]
-
-
 def mg_static_report(program: Dict[str, Any]) -> Dict[str, Any]:
     """The scope-aware static report of one mg-fuzz program record."""
     from repro.analyze.multidevice import build_mg_report, mg_fuzz_model
@@ -214,15 +199,9 @@ def run_mg_fuzz_iteration(seed: int,
         num_devices=params.gpus, gpu_config=gpu_config,
         detector_config=detector_config or HAccRGConfig(),
         timing_enabled=False)
-    mg.set_launch_sources(
-        "repro.multigpu.fuzz", "rebuild_mg_fuzz_launches",
-        {"program": program})
     buf = mg.malloc("mg_fuzz_buf", params.n, home=0, shared=True)
-    try:
-        for phase in _program_phases(program, buf):
-            mg.run_phase(phase)
-    finally:
-        mg.close()
+    for phase in _program_phases(program, buf):
+        mg.run_phase(phase)
     res = mg.finalize(name=f"mg_fuzz[{seed}]")
     return {
         "seed": seed,

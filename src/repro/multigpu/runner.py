@@ -2,9 +2,8 @@
 
 :func:`run_mg_benchmark` is the one way anything (CLI, tests, fuzz,
 campaigns) executes a registered multi-GPU benchmark: it builds the
-system, installs the shard-rebuild recipe on every device (so
-``sm_workers > 0`` runs take the epoch-sharded path bit-identically),
-runs every phase, and finalizes into a :class:`MultiGPUResult`.
+system, runs every phase, and finalizes into a
+:class:`MultiGPUResult`.
 
 :class:`MGJob` + :func:`execute_mg_record` ride the campaign engine's
 workers/cache/retry machinery under job kind ``"multigpu"`` (see
@@ -19,8 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.common.config import GPUConfig, HAccRGConfig
-from repro.common.errors import ShardTimeoutError
-from repro.multigpu.bench import MGAllocator, get_mg_benchmark
+from repro.multigpu.bench import get_mg_benchmark
 from repro.multigpu.system import MultiGPUResult, MultiGPUSimulator
 
 #: bump when the result record shape changes (campaign cache fence)
@@ -42,47 +40,17 @@ def run_mg_benchmark(name: str,
 
     ``injection`` is an injection *name* from the benchmark's catalog
     entries (``""`` = fault-free) — names, not site objects, so the spec
-    serializes into shard-rebuild payloads and campaign job records.
-    Sharded runs that trip the watchdog retry once with a fresh system,
-    like :func:`repro.harness.runner.run_benchmark_direct`.
+    serializes into campaign job records.
     """
-    from repro.harness.runner import shard_retries
-
-    attempt = 0
-    retries = shard_retries()
-    while True:
-        try:
-            return _run_attempt(name, gpus, detector_config, gpu_config,
-                                scale, seed, injection, timing_enabled,
-                                verify, with_oracle, tlb_entries)
-        except ShardTimeoutError:
-            attempt += 1
-            if attempt > retries:
-                raise
-
-
-def _run_attempt(name: str, gpus: int,
-                 detector_config: Optional[HAccRGConfig],
-                 gpu_config: Optional[GPUConfig], scale: float, seed: int,
-                 injection: str, timing_enabled: bool, verify: bool,
-                 with_oracle: bool, tlb_entries: int) -> MultiGPUResult:
     bench = get_mg_benchmark(name)
     mg = MultiGPUSimulator(
         num_devices=gpus, gpu_config=gpu_config,
         detector_config=detector_config, timing_enabled=timing_enabled,
         tlb_entries=tlb_entries, with_oracle=with_oracle)
-    mg.set_launch_sources("repro.multigpu.bench", "rebuild_mg_launches", {
-        "bench": bench.name, "gpus": gpus, "scale": scale, "seed": seed,
-        "injection": injection,
-    })
-    alloc = MGAllocator(mg.shared_mem, mg.pool)
-    plan = bench.plan(alloc, gpus=gpus, scale=scale, seed=seed,
+    plan = bench.plan(mg.pool, gpus=gpus, scale=scale, seed=seed,
                       injection=injection)
-    try:
-        for phase in plan.phases:
-            mg.run_phase(phase)
-    finally:
-        mg.close()
+    for phase in plan.phases:
+        mg.run_phase(phase)
     verified: Optional[bool] = None
     if verify and plan.verify is not None:
         plan.verify()  # raises on functional mismatch

@@ -6,10 +6,7 @@
 - **One device-memory pool.** All devices share a single
   :class:`~repro.gpu.device.DeviceMemory` (installed before any
   allocation), so the bump allocator hands out globally unique addresses
-  and a peer write is genuinely visible to a later peer read. Under
-  epoch-sharded execution this stays correct for free: global-memory
-  values live only on the coordinator (shard workers receive lane values
-  with each park response and never read their local copy).
+  and a peer write is genuinely visible to a later peer read.
 - **Host phases.** A run is a sequence of *phases*; within a phase the
   kernels launched on different devices are logically concurrent, and the
   host synchronizes every device at the phase boundary. Devices execute
@@ -17,18 +14,16 @@
   *timing* fiction, not a synchronization one: cross-device race judgment
   never compares device-local cycles.
 - **Deterministic merge barrier.** Each device's
-  :class:`~repro.multigpu.recorder.RemoteTrafficRecorder` (replay-safe,
-  so multi-device runs remain shard-eligible) is drained at the phase
-  boundary and the records merged under the canonical total order
-  ``(phase, cycle, device, sm_id, seq)`` — the same key for any
-  ``sm_workers`` setting, so multi-device runs are bit-identical across
-  inline, sharded, and fast-path execution.
+  :class:`~repro.multigpu.recorder.RemoteTrafficRecorder` is drained at
+  the phase boundary and the records merged under the canonical total
+  order ``(phase, cycle, device, sm_id, seq)``, so the merged stream is
+  identical run to run.
 - **Post-run analysis.** TLB translation (:mod:`repro.vm`), directory
   bookkeeping, peer-link pricing
   (:class:`~repro.gpu.interconnect.PeerFabric`), the directory-level
   cross-GPU detector, and the exact HB oracle all consume the canonical
-  merged stream in :meth:`finalize` — never live timing effects, which
-  would break inline/sharded parity.
+  merged stream in :meth:`finalize` — never live timing effects, so the
+  per-device simulations stay independent of the analysis.
 """
 
 from __future__ import annotations
@@ -199,19 +194,6 @@ class MultiGPUSimulator:
         return self.pool.alloc(name, length, itemsize=itemsize,
                                home=home, shared=shared)
 
-    def set_launch_sources(self, module: str, func: str,
-                           payload: Dict[str, Any]) -> None:
-        """Install a shard-rebuild recipe on every device simulator.
-
-        Each device receives the payload extended with its ``device``
-        index; ``module.func(payload, sim)`` must return that device's
-        *flat* launch list across all phases, in :meth:`run_phase` order.
-        """
-        for d, sim in enumerate(self.devices):
-            device_payload = dict(payload)
-            device_payload["device"] = d
-            sim.launch_source = (module, func, device_payload)
-
     def run_phase(self, launches: Sequence[MGLaunch]) -> None:
         """Execute one host phase and merge the devices' record streams.
 
@@ -230,11 +212,6 @@ class MultiGPUSimulator:
                 self._stream.append(
                     (self.phase, cycle, d, sm_id, seq, payload))
         self.phase += 1
-
-    def close(self) -> None:
-        """Release every device's scheduler resources (shard workers)."""
-        for sim in self.devices:
-            sim.close()
 
     # ------------------------------------------------------------------
     # analysis

@@ -19,6 +19,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Tuple
 
+from repro.common.fsutil import atomic_write
 from repro.harness.trace import TraceEvent, dump_binary, parse_trace
 from repro.serve.backends import sha256_hex
 
@@ -55,10 +56,9 @@ class TraceStore:
                 "bytes": len(canonical)}
         if not path.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
-            self._atomic_write(path, canonical)
-            self._atomic_write(
-                self._meta_path(digest),
-                json.dumps(meta, sort_keys=True).encode("utf-8"))
+            atomic_write(path, canonical)
+            atomic_write(self._meta_path(digest),
+                         json.dumps(meta, sort_keys=True))
         return meta
 
     def put_events(self, events: List[TraceEvent]) -> Dict[str, Any]:
@@ -100,9 +100,3 @@ class TraceStore:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.entries())
-
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)

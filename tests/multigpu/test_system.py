@@ -64,7 +64,6 @@ class TestConstruction:
 
     def test_devices_share_one_memory_pool(self):
         mg = make_system()
-        mg.close()
         assert all(sim.device_mem is mg.shared_mem for sim in mg.devices)
 
 
@@ -94,11 +93,8 @@ class TestSharedVisibility:
         mg = make_system()
         buf = mg.malloc("buf", N, home=0, shared=True)
         out = mg.malloc("out", BLOCK, home=1)
-        try:
-            mg.run_phase([MGLaunch(0, FILL, 1, BLOCK, (buf, N, 7))])
-            mg.run_phase([MGLaunch(1, SUM, 1, BLOCK, (buf, out, N))])
-        finally:
-            mg.close()
+        mg.run_phase([MGLaunch(0, FILL, 1, BLOCK, (buf, N, 7))])
+        mg.run_phase([MGLaunch(1, SUM, 1, BLOCK, (buf, out, N))])
         assert float(out.host_read().sum()) == 7.0 * N
         res = mg.finalize(name="visibility")
         # host-phase ordering is synchronization: no cross-device race
@@ -109,13 +105,10 @@ class TestSharedVisibility:
     def test_same_phase_overlapping_writes_race(self):
         mg = make_system()
         buf = mg.malloc("buf", N, home=0, shared=True)
-        try:
-            mg.run_phase([
-                MGLaunch(0, FILL, 1, BLOCK, (buf, N, 1)),
-                MGLaunch(1, FILL, 1, BLOCK, (buf, N, 2)),
-            ])
-        finally:
-            mg.close()
+        mg.run_phase([
+            MGLaunch(0, FILL, 1, BLOCK, (buf, N, 1)),
+            MGLaunch(1, FILL, 1, BLOCK, (buf, N, 2)),
+        ])
         res = mg.finalize(name="overlap")
         assert res.cross_races, "oracle missed a same-phase W/W overlap"
         assert res.detector_reports, "directory detector missed it too"
@@ -126,13 +119,10 @@ class TestSharedVisibility:
         mg = make_system()
         a = mg.malloc("a", N, home=0)
         b = mg.malloc("b", N, home=1, shared=False)
-        try:
-            mg.run_phase([
-                MGLaunch(0, FILL, 1, BLOCK, (a, N, 1)),
-                MGLaunch(1, FILL, 1, BLOCK, (b, N, 2)),
-            ])
-        finally:
-            mg.close()
+        mg.run_phase([
+            MGLaunch(0, FILL, 1, BLOCK, (a, N, 1)),
+            MGLaunch(1, FILL, 1, BLOCK, (b, N, 2)),
+        ])
         res = mg.finalize(name="local")
         assert res.cross_races == []
         assert res.detector_reports == []
@@ -144,11 +134,8 @@ class TestResultSurfaces:
     def _run(self, **kw):
         mg = make_system(**kw)
         buf = mg.malloc("buf", N, home=0, shared=True)
-        try:
-            mg.run_phase([MGLaunch(0, FILL, 1, BLOCK, (buf, N, 3))])
-            mg.run_phase([MGLaunch(1, FILL, 1, BLOCK, (buf, N, 4))])
-        finally:
-            mg.close()
+        mg.run_phase([MGLaunch(0, FILL, 1, BLOCK, (buf, N, 3))])
+        mg.run_phase([MGLaunch(1, FILL, 1, BLOCK, (buf, N, 4))])
         return mg, mg.finalize(name="surfaces")
 
     def test_record_is_json_round_trippable(self):
@@ -176,10 +163,7 @@ class TestResultSurfaces:
     def test_remote_traffic_priced_against_home_device(self):
         mg = make_system()
         buf = mg.malloc("buf", N, home=0, shared=True)
-        try:
-            mg.run_phase([MGLaunch(1, FILL, 1, BLOCK, (buf, N, 1))])
-        finally:
-            mg.close()
+        mg.run_phase([MGLaunch(1, FILL, 1, BLOCK, (buf, N, 1))])
         res = mg.finalize(name="remote")
         # device 1 wrote pages homed on device 0: only it pays link cycles
         assert res.remote_cycles[1] > 0

@@ -1,12 +1,11 @@
-"""Batched fast-path kernels must be bit-identical to their scalar twins.
+"""Batched engine kernels must be bit-identical to their scalar twins.
 
-Every vectorized kernel the warp-batch fast path introduces — batched
-shared/global shadow checks, Bloom-signature batch operations, the
-warp-batch coalescer, and the batched bank-conflict counter — is run here
-against its scalar reference on randomized inputs. The full-system
-equivalent (whole benchmarks, fast path on vs off) is
-``tests/harness/test_fastpath_parity.py``; these properties localize a
-divergence to the specific kernel that caused it.
+Every vectorized kernel of the warp-batch engine — batched shared/global
+shadow checks, Bloom-signature batch operations, the warp-batch
+coalescer, and the batched bank-conflict counter — is run here against
+its scalar reference on randomized inputs. The scalar walks stay in the
+engine as the fallback for straddling and race-capable lanes; these
+properties localize a divergence to the specific kernel that caused it.
 """
 
 import numpy as np
@@ -53,18 +52,20 @@ class TestSharedShadowBatch:
     @given(access_specs, st.booleans())
     @settings(max_examples=120, deadline=None)
     def test_batch_matches_scalar(self, specs, barrier_mid):
-        """Same access stream, fast on vs off: same races, same state."""
+        """Same access stream, check() vs _check_scalar() on twin
+        tables: same races, same state."""
         logs = {}
         tables = {}
-        for fp in (True, False):
+        for batched in (True, False):
             log = RaceLog()
-            table = SharedShadowTable(64 * 4, 4, log, fast_path=fp)
+            table = SharedShadowTable(64 * 4, 4, log)
+            check = table.check if batched else table._check_scalar
             for i, spec in enumerate(specs):
                 if barrier_mid and i == len(specs) // 2:
                     table.barrier_reset()
-                new = table.check(_warp_access(spec, MemSpace.SHARED))
+                new = check(_warp_access(spec, MemSpace.SHARED))
                 assert new >= 0
-            logs[fp], tables[fp] = log, table
+            logs[batched], tables[batched] = log, table
         assert logs[True] == logs[False]
         for field in ("tid", "wid", "M", "S"):
             assert np.array_equal(getattr(tables[True], field),
@@ -75,23 +76,25 @@ class TestGlobalShadowBatch:
     @given(access_specs, st.integers(0, 3))
     @settings(max_examples=120, deadline=None)
     def test_batch_matches_scalar(self, specs, sync_bumps):
+        """Same access stream, check() vs _check_scalar() on twin
+        shadows: same races, same state."""
         logs = {}
         shadows = {}
-        for fp in (True, False):
+        cfg = HAccRGConfig(mode=DetectionMode.GLOBAL, global_granularity=4)
+        for batched in (True, False):
             log = RaceLog()
             rrf = RaceRegisterFile(8)
-            cfg = HAccRGConfig(mode=DetectionMode.GLOBAL,
-                               global_granularity=4, fast_path=fp)
             g = GlobalShadowMemory(64 * 4, cfg, log, rrf)
+            check = g.check if batched else g._check_scalar
             sync = 0
             for i, spec in enumerate(specs):
                 if sync_bumps and i % (len(specs) // sync_bumps + 1) == 0:
                     sync += 1
                 acc = _warp_access(spec, MemSpace.GLOBAL)
                 acc.sync_id = sync
-                entries = g.check(acc)
+                entries = check(acc)
                 assert len(entries) == len(set(entries))
-            logs[fp], shadows[fp] = log, g
+            logs[batched], shadows[batched] = log, g
         assert logs[True] == logs[False]
         for field in ("tid", "wid", "bid", "sid", "M", "S",
                       "sync", "fence", "sig", "atomic"):

@@ -103,34 +103,6 @@ class BloomSignature:
             sig |= np.int64(1) << (b * self.bin_bits + bit).astype(np.int64)
         return sig
 
-    def insert_many(self, sig: int, addrs: np.ndarray) -> int:
-        """Fold an address array into one signature (batched inserts).
-
-        Bit-identical to calling :meth:`insert` per element: signature
-        union is commutative and associative, so the fold order cannot
-        matter. Used by the warp-batch fast path to stamp a whole lane
-        set's lock acquisitions in one call.
-        """
-        arr = np.asarray(addrs)
-        if arr.size == 0:
-            return sig
-        folded = np.bitwise_or.reduce(self.encode_many(arr))
-        return sig | int(folded)
-
-    def may_share_lock_many(self, sigs: np.ndarray, other: int) -> np.ndarray:
-        """Vectorized :meth:`may_share_lock` of an array against one signature.
-
-        Returns a boolean array: element ``i`` is True when ``sigs[i]``
-        and ``other`` may contain a common lock (every bin of the AND has
-        a set bit).
-        """
-        inter = np.asarray(sigs, dtype=np.int64) & np.int64(other)
-        mask = np.int64((1 << self.bin_bits) - 1)
-        out = np.ones(inter.shape, dtype=bool)
-        for b in range(self.bins):
-            out &= ((inter >> np.int64(b * self.bin_bits)) & mask) != 0
-        return out
-
     def miss_rate(self, addrs: np.ndarray) -> float:
         """Fraction of distinct address pairs indistinguishable by signature.
 

@@ -35,6 +35,7 @@ from repro.core.clocks import RaceRegisterFile
 from repro.core.races import RaceLog
 from repro.core.rdu_global import GlobalRDU
 from repro.core.rdu_shared import SharedRDU
+from repro.core.shadow_memory import GlobalShadowMemory
 from repro.gpu.hooks import NO_EFFECT, DetectorHooks, TimingEffect
 
 
@@ -85,10 +86,9 @@ class HAccRGDetector(DetectorHooks):
                 # at kernel launch, §IV-B); later launches of the workload
                 # reuse it, re-invalidated between kernels
                 region = device_mem.allocated_bytes
-                from repro.core.shadow_memory import GlobalShadowMemory
-                probe = GlobalShadowMemory(region, self.config, RaceLog(),
-                                           self.rrf)
-                base = device_mem.malloc(max(1, probe.footprint_bytes()),
+                footprint = GlobalShadowMemory.region_footprint(
+                    region, self.config)
+                base = device_mem.malloc(max(1, footprint),
                                          name="haccrg_global_shadow",
                                          internal=True)
                 self._global_shadow_region = (region, base)

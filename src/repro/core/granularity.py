@@ -9,7 +9,7 @@ the Table III experiment.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.bitops import ceil_div, is_power_of_two, log2_exact
 from repro.common.errors import ConfigError
@@ -49,8 +49,32 @@ class GranularityMap:
         per entry (matching the hardware generating one shadow check per
         covered entry).
         """
+        shift = self._shift
         out: List[Tuple[int, object]] = []
         for la in lanes:
-            for e in self.entries_of_range(la.addr, la.size):
-                out.append((e, la))
+            first = la.addr >> shift
+            last = (la.addr + la.size - 1) >> shift
+            if first == last:
+                out.append((first, la))
+            else:
+                out.extend((e, la) for e in range(first, last + 1))
         return out
+
+    def distinct_entries(self, lanes: Sequence[Any],
+                         kind: Any) -> Optional[List[int]]:
+        """Each lane's entry, in lane order, when every lane has ``kind``,
+        is covered by exactly one entry and no two lanes share one;
+        None otherwise.
+
+        No two lanes of such an access can overlap, so the associative
+        same-instruction WAW check cannot fire and each lane is one
+        independent state-machine step.
+        """
+        shift = self._shift
+        entries = [la.addr >> shift for la in lanes]
+        if len(set(entries)) != len(entries):
+            return None
+        for la, e in zip(lanes, entries):
+            if la.kind != kind or (la.addr + la.size - 1) >> shift != e:
+                return None
+        return entries

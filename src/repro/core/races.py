@@ -11,7 +11,7 @@ the raw trip count for diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.types import MemSpace, RaceCategory, RaceKind
 
@@ -103,71 +103,6 @@ class RaceLog:
             pc=pc, cycle=cycle, stale_l1=stale_l1,
         ))
         return True
-
-    def trip_group(self, category: RaceCategory, kind: RaceKind,
-                   space: MemSpace, entry: int, addr: int,
-                   owner_tid: int, access_tid: int, trips: int = 1,
-                   owner_block: int = -1, access_block: int = -1,
-                   pc: int = 0) -> bool:
-        """Record ``trips`` trips of one dedup group in a single call.
-
-        Batched detectors classify a whole warp at once and know the trip
-        multiplicity per shadow entry up front; this folds the repeated
-        :meth:`trip` calls into one count update. The pair key covers only
-        the (owner, access) pair given here — additional pairs from the
-        same group go through :meth:`note_pairs`.
-        """
-        key = (space, entry, kind, category)
-        counts = self.trip_counts
-        counts[key] = counts.get(key, 0) + trips
-        self._pair_keys.add((space, entry, kind, category,
-                             owner_tid, access_tid))
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        self.reports.append(RaceReport(
-            category=category, kind=kind, space=space, entry=entry,
-            addr=addr, owner_tid=owner_tid, access_tid=access_tid,
-            owner_block=owner_block, access_block=access_block, pc=pc,
-        ))
-        return True
-
-    def trip_batch(self, category: RaceCategory, space: MemSpace,
-                   rows: Iterable[Tuple[int, RaceKind, int, int, int, int]],
-                   owner_block: int = -1, access_block: int = -1,
-                   pc: int = 0) -> int:
-        """Record many dedup groups in one call; returns new distinct races.
-
-        ``rows`` holds ``(entry, kind, addr, owner_tid, access_tid, trips)``
-        tuples in report order. Equivalent to calling :meth:`trip_group`
-        per row, minus the per-row call overhead — the batched warp check
-        produces a whole conflict set at once.
-        """
-        counts = self.trip_counts
-        seen = self._seen
-        pairs = self._pair_keys
-        new = 0
-        for entry, kind, addr, owner, acc, trips in rows:
-            key = (space, entry, kind, category)
-            counts[key] = counts.get(key, 0) + trips
-            pairs.add((space, entry, kind, category, owner, acc))
-            if key not in seen:
-                seen.add(key)
-                self.reports.append(RaceReport(
-                    category=category, kind=kind, space=space, entry=entry,
-                    addr=addr, owner_tid=owner, access_tid=acc,
-                    owner_block=owner_block, access_block=access_block,
-                    pc=pc))
-                new += 1
-        return new
-
-    def note_pairs(self, category: RaceCategory, kind: RaceKind,
-                   space: MemSpace,
-                   pairs: "Iterable[Tuple[int, int, int]]") -> None:
-        """Register extra ``(entry, owner_tid, access_tid)`` pair keys
-        for trips already counted via :meth:`trip_group`."""
-        self._pair_keys.update(
-            (space, e, kind, category, o, a) for e, o, a in pairs)
 
     # ------------------------------------------------------------------
     # queries

@@ -216,7 +216,7 @@ class TestLockset:
                    critical=True))
         assert len(log) == 0
         entry = 0
-        assert g.sig[entry] == self._sig(1)  # intersection stored
+        assert g.entry(entry).sig == self._sig(1)  # intersection stored
 
     def test_missing_fence_in_critical_section_races(self):
         """Fig. 2(b): common lock but producer never fenced before
@@ -250,6 +250,7 @@ class TestFootprint:
         g, log, _ = make()
         g.check(wa(0, W))
         g.invalidate()
-        assert g.M.all() and g.S.all()
+        assert all(g.entry(e).M and g.entry(e).S for e in range(g.n))
+        assert g.store == {}
         g.check(wa(0, R, warp_id=1, tid_base=32))
         assert len(log) == 0

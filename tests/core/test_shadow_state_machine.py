@@ -32,33 +32,34 @@ class TestStateTransitions:
     def test_virgin_read_enters_state2(self):
         t, log = make()
         t.check(wa(0, R, warp_id=0))
-        assert not t.M[0] and not t.S[0]
-        assert t.tid[0] == 0 and len(log) == 0
+        e = t.entry(0)
+        assert not e.M and not e.S
+        assert e.tid == 0 and len(log) == 0
 
     def test_virgin_write_enters_state3(self):
         t, log = make()
         t.check(wa(0, W, warp_id=0))
-        assert t.M[0] and not t.S[0]
+        assert t.entry(0).M and not t.entry(0).S
         assert len(log) == 0
 
     def test_read_read_same_warp_stays_state2(self):
         t, log = make()
         t.check(wa(0, R, warp_id=0, lane=0))
         t.check(wa(0, R, warp_id=0, lane=1))
-        assert not t.S[0] and len(log) == 0
+        assert not t.entry(0).S and len(log) == 0
 
     def test_read_read_cross_warp_sets_shared(self):
         t, log = make()
         t.check(wa(0, R, warp_id=0))
         t.check(wa(0, R, warp_id=1, tid_base=32))
-        assert t.S[0] and not t.M[0]
+        assert t.entry(0).S and not t.entry(0).M
         assert len(log) == 0
 
     def test_same_warp_write_after_read_upgrades(self):
         t, log = make()
         t.check(wa(0, R, warp_id=0, lane=0))
         t.check(wa(0, W, warp_id=0, lane=1))
-        assert t.M[0] and len(log) == 0
+        assert t.entry(0).M and len(log) == 0
 
 
 class TestRaceDetection:
@@ -116,7 +117,8 @@ class TestBarrierReset:
         t, _ = make()
         t.check(wa(0, R, warp_id=0))
         t.barrier_reset()
-        assert t.M.all() and t.S.all()
+        assert all(t.entry(e).M and t.entry(e).S for e in range(t.n))
+        assert t.store == {}
 
 
 class TestWarpRegrouping:

@@ -63,7 +63,8 @@ class TestBarrierSoundness:
             t.check(wa(warp, slot, is_write))
         t.barrier_reset()
         t.barrier_reset()
-        assert t.M.all() and t.S.all()
+        assert all(t.entry(e).M and t.entry(e).S for e in range(t.n))
+        assert t.store == {}
 
 
 class TestDetectionCompleteness:

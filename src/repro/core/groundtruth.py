@@ -520,6 +520,15 @@ class CrossDeviceRace:
         return self.byte // granularity
 
 
+#: the verdict-relevant part of an access: (device, wid, kind, stamp)
+_SpanKey = Tuple[int, int, int, int]
+#: one lane's access span: (lo, hi, key, tid, bid), bytes [lo, hi)
+_Span = Tuple[int, int, _SpanKey, int, int]
+#: one judged verdict: (kind, category, lo_index, hi_index) into a
+#: segment's first span per key
+_IndexVerdict = Tuple[RaceKind, RaceCategory, int, int]
+
+
 class MultiDeviceOracle:
     """Exact byte-granularity cross-device oracle.
 
@@ -529,6 +538,11 @@ class MultiDeviceOracle:
     property, so judging online would depend on the interleaving of
     logically concurrent streams — and reports deduplicated
     :class:`CrossDeviceRace` pairs via :func:`cross_device_verdict`.
+
+    The state is one access span per lane, not one row per byte: bytes
+    that the same lanes cover always get the same verdicts, so
+    :meth:`finish` judges per elementary segment and expands to bytes
+    only for the races it reports.
     """
 
     def __init__(self) -> None:
@@ -536,35 +550,19 @@ class MultiDeviceOracle:
         self._epoch: Dict[Tuple[int, int], int] = {}
         #: (device, phase, wid) -> epoch at that warp's last record in phase
         self._phase_final: Dict[Tuple[int, int, int], int] = {}
-        #: (phase, byte) -> list of (device, wid, tid, bid, kind, stamp)
-        self._bytes: Dict[Tuple[int, int],
-                          List[Tuple[int, int, int, int, int, int]]] = {}
-        self._races: Dict[Tuple[int, int, RaceKind, RaceCategory],
-                          CrossDeviceRace] = {}
+        #: phase -> one span per lane, in stream order
+        self._spans: Dict[int, List[_Span]] = {}
 
     def on_access(self, device: int, phase: int, wid: int, bid: int,
                   kind: int, base_tid: int,
                   lanes: Iterable[Tuple[int, int, int]]) -> None:
-        """One warp access: ``lanes`` yields ``(lane, addr, size)`` rows.
-
-        A byte's row is not appended when the byte's previous row has the
-        same ``(device, wid, kind, stamp)`` key: :meth:`finish` keeps only
-        the first row per key, so the skipped row would be dropped anyway.
-        """
+        """One warp access: ``lanes`` yields ``(lane, addr, size)`` rows."""
         stamp = self._epoch.get((device, wid), 0)
         self._phase_final[(device, phase, wid)] = stamp
-        table = self._bytes
+        key = (device, wid, kind, stamp)
+        spans = self._spans.setdefault(phase, [])
         for lane, addr, size in lanes:
-            row = (device, wid, base_tid + lane, bid, kind, stamp)
-            for byte in range(addr, addr + size):
-                rows = table.get((phase, byte))
-                if rows is None:
-                    table[(phase, byte)] = [row]
-                    continue
-                last = rows[-1]
-                if (last[1] != wid or last[0] != device or last[5] != stamp
-                        or last[4] != kind):
-                    rows.append(row)
+            spans.append((addr, addr + size, key, base_tid + lane, bid))
 
     def on_fence(self, device: int, phase: int, wid: int, scope: int) -> None:
         """One fence; only system scope (1) publishes across devices."""
@@ -575,67 +573,80 @@ class MultiDeviceOracle:
 
     # ------------------------------------------------------------------
 
-    def _endpoint(self, phase: int,
-                  row: Tuple[int, int, int, int, int, int]) -> DeviceEndpoint:
-        device, wid, tid, bid, kind, stamp = row
-        final = self._phase_final.get((device, phase, wid), stamp)
-        return DeviceEndpoint(device=device, phase=phase, wid=wid, tid=tid,
-                              bid=bid, kind=kind,
-                              sys_fenced_after=final > stamp)
-
     def finish(self) -> List[CrossDeviceRace]:
-        """Judge every cross-device pair; returns deduplicated races.
+        """Judge every cross-device pair; returns races sorted by
+        ``(phase, byte, kind, category)``.
 
-        A race key includes its byte, so bytes are judged independently,
-        in any order. The bytes of one access usually carry identical
-        unique rows; the verdicts of the previous byte are reused while
-        that ``(phase, rows)`` signature repeats.
+        Per phase, the spans are cut at every span boundary into
+        elementary segments: every byte of a segment is covered by the
+        same spans in the same stream order, so the segment keeps the
+        first span per ``(device, wid, kind, stamp)`` key and is judged
+        once.
+        Verdicts depend on those keys and the phase-final fence state,
+        never on thread or block ids, so each distinct key tuple is
+        judged once per phase.
         """
-        last_sig: Optional[Tuple[int, Tuple[Any, ...]]] = None
-        verdicts: List[Tuple[RaceKind, RaceCategory,
-                             DeviceEndpoint, DeviceEndpoint]] = []
-        for (phase, byte), rows in self._bytes.items():
-            if len(rows) < 2:
-                continue
-            # dedupe interchangeable endpoints: same (device, warp, kind,
-            # fence stamp) rows pair identically against everything
-            unique: Dict[Tuple[int, int, int, int],
-                         Tuple[int, int, int, int, int, int]] = {}
-            for row in rows:
-                unique.setdefault((row[0], row[1], row[4], row[5]), row)
-            sig = (phase, tuple(unique.values()))
-            if sig != last_sig:
-                last_sig = sig
-                verdicts = self._judge(phase, sig[1])
-            for kind, category, lo, hi in verdicts:
-                key = (phase, byte, kind, category)
-                if key not in self._races:
-                    self._races[key] = CrossDeviceRace(
-                        byte=byte, kind=kind, category=category,
-                        phase=phase,
-                        first_device=lo.device, second_device=hi.device,
-                        first_tid=lo.tid, second_tid=hi.tid)
-        return [self._races[key] for key in sorted(self._races)]
+        races: List[CrossDeviceRace] = []
+        for phase in sorted(self._spans):
+            spans = self._spans[phase]
+            cuts = {span[0] for span in spans}
+            cuts.update([span[1] for span in spans])
+            bounds = sorted(cuts)
+            following = dict(zip(bounds, bounds[1:]))
+            #: segment start byte -> first span per key, in stream order
+            segments: Dict[int, Dict[_SpanKey, _Span]] = {}
+            for span in spans:
+                lo, hi, key, _, _ = span
+                while lo < hi:
+                    unique = segments.get(lo)
+                    if unique is None:
+                        segments[lo] = {key: span}
+                    elif key not in unique:
+                        unique[key] = span
+                    lo = following[lo]
+            memo: Dict[Tuple[_SpanKey, ...], List[_IndexVerdict]] = {}
+            for lo, hi in following.items():
+                unique = segments.get(lo)
+                if unique is None or len(unique) < 2:
+                    continue
+                firsts = list(unique.values())
+                sig = tuple(unique)
+                verdicts = memo.get(sig)
+                if verdicts is None:
+                    verdicts = memo[sig] = self._judge(phase, firsts)
+                for byte in range(lo, hi):
+                    for kind, category, i, j in verdicts:
+                        races.append(CrossDeviceRace(
+                            byte=byte, kind=kind, category=category,
+                            phase=phase,
+                            first_device=firsts[i][2][0],
+                            second_device=firsts[j][2][0],
+                            first_tid=firsts[i][3], second_tid=firsts[j][3]))
+        return races
 
-    def _judge(self, phase: int,
-               rows: Tuple[Tuple[int, int, int, int, int, int], ...]
-               ) -> List[Tuple[RaceKind, RaceCategory,
-                               DeviceEndpoint, DeviceEndpoint]]:
-        """The first racing pair per ``(kind, category)`` among one byte's
-        unique rows, as ``(kind, category, lo, hi)`` (lo: lower device)."""
-        if (len({row[0] for row in rows}) < 2
-                or all(row[4] == _READ for row in rows)):
+    def _judge(self, phase: int, firsts: List[_Span]) -> List[_IndexVerdict]:
+        """The first racing pair per ``(kind, category)`` among one
+        segment's first spans per key, as ``(kind, category, lo, hi)``
+        indices (lo: lower device), sorted by ``(kind, category)``."""
+        keys = [span[2] for span in firsts]
+        if (len({key[0] for key in keys}) < 2
+                or all(key[2] == _READ for key in keys)):
             return []
-        eps = [self._endpoint(phase, row) for row in rows]
-        first: Dict[Tuple[RaceKind, RaceCategory],
-                    Tuple[DeviceEndpoint, DeviceEndpoint]] = {}
+        eps: List[DeviceEndpoint] = []
+        for _, _, (device, wid, kind, stamp), tid, bid in firsts:
+            final = self._phase_final.get((device, phase, wid), stamp)
+            eps.append(DeviceEndpoint(device=device, phase=phase, wid=wid,
+                                      tid=tid, bid=bid, kind=kind,
+                                      sys_fenced_after=final > stamp))
+        first: Dict[Tuple[RaceKind, RaceCategory], Tuple[int, int]] = {}
         for i, a in enumerate(eps):
-            for b in eps[i + 1:]:
+            for j in range(i + 1, len(eps)):
+                b = eps[j]
                 verdict = cross_device_verdict(a, b)
                 if verdict is not None and verdict not in first:
-                    first[verdict] = (a, b) if a.device < b.device else (b, a)
-        return [(kind, category, lo, hi)
-                for (kind, category), (lo, hi) in first.items()]
+                    first[verdict] = (i, j) if a.device < b.device else (j, i)
+        return [(kind, category, i, j)
+                for (kind, category), (i, j) in sorted(first.items())]
 
 
 def cross_device_entries(races: Iterable[CrossDeviceRace],

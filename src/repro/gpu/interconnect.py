@@ -191,6 +191,11 @@ class PageDirectory:
     def is_shared_vpn(self, vpn: int) -> bool:
         return vpn in self._entries
 
+    def sharer_count(self, vpn: int) -> int:
+        """Devices that have accessed page ``vpn`` (0: not registered)."""
+        entry = self._entries.get(vpn)
+        return len(entry.sharers) if entry is not None else 0
+
     def note_access(self, vpn: int, device: int, kind: Any) -> DirectoryEntry:
         """Record one access to a shared page; returns the entry."""
         self.lookups += 1

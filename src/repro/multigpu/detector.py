@@ -22,8 +22,8 @@ Two deliberate design points:
   (:class:`repro.core.groundtruth.MultiDeviceOracle`) defer to the phase
   flush and share :func:`repro.core.groundtruth.cross_device_verdict` —
   but they traverse structurally different state (granule endpoint sets
-  vs per-byte lists), so their agreement in the differential harness is a
-  genuine cross-check, not a tautology.
+  vs per-lane byte spans), so their agreement in the differential harness
+  is a genuine cross-check, not a tautology.
 """
 
 from __future__ import annotations
@@ -89,14 +89,18 @@ class DirectoryDetector:
         self._final[(device, wid)] = stamp
         g = self.granularity
         key = (device, wid, kind, stamp)
+        granules = self._granules
         for lane, addr, size in rows:
             first = addr // g
             last = (addr + max(1, size) - 1) // g
             for entry in range(first, last + 1):
-                occupants = self._granules.setdefault(entry, {})
-                if key not in occupants:
-                    occupants[key] = (device, wid, base_tid + lane, bid,
-                                      kind, stamp)
+                occupants = granules.get(entry)
+                if occupants is None:
+                    granules[entry] = occupants = {}
+                elif key in occupants:
+                    continue
+                occupants[key] = (device, wid, base_tid + lane, bid,
+                                  kind, stamp)
 
     def on_fence(self, device: int, wid: int, scope: int) -> None:
         """One fence; only system scope publishes across devices."""
@@ -109,36 +113,61 @@ class DirectoryDetector:
     # phase barrier
 
     def flush_phase(self, phase: int) -> None:
-        """Judge the phase's granules against the directory work-list."""
+        """Judge the phase's granules against the directory work-list.
+
+        Verdicts depend on the occupants' ``(device, wid, kind, stamp)``
+        keys and the phase-final fence state, never on thread or block
+        ids, so each distinct occupant-key tuple is judged once per
+        phase and its verdicts are reused as occupant indices.
+        """
+        directory = self.pool.directory
+        memo: Dict[Tuple[Tuple[int, int, int, int], ...],
+                   List[Tuple[RaceKind, RaceCategory, int, int]]] = {}
+        vpn = sharers = -1
         for entry in sorted(self._granules):
-            vpn = self.pool.vpn_of(entry * self.granularity)
-            dir_entry = self.pool.directory._entries.get(vpn)
-            if dir_entry is None or len(dir_entry.sharers) < 2:
+            page = self.pool.vpn_of(entry * self.granularity)
+            if page != vpn:
+                vpn = page
+                sharers = directory.sharer_count(vpn)
+            if sharers < 2:
                 self.granules_pruned += 1
                 continue
             self.granules_evaluated += 1
-            endpoints = [
-                self._endpoint(phase, row)
-                for row in self._granules[entry].values()
-            ]
-            for i, a in enumerate(endpoints):
-                for b in endpoints[i + 1:]:
-                    verdict = cross_device_verdict(a, b)
-                    if verdict is None:
-                        continue
-                    kind, category = verdict
-                    key = (phase, entry, kind, category)
-                    if key in self._seen:
-                        continue
-                    self._seen.add(key)
-                    lo, hi = ((a, b) if a.device < b.device else (b, a))
-                    self.reports.append(CrossGPURace(
-                        entry=entry, kind=kind, category=category,
-                        phase=phase,
-                        first_device=lo.device, second_device=hi.device,
-                        first_tid=lo.tid, second_tid=hi.tid))
+            occupants = self._granules[entry]
+            if len(occupants) < 2:
+                continue
+            rows = list(occupants.values())
+            sig = tuple(occupants)
+            verdicts = memo.get(sig)
+            if verdicts is None:
+                verdicts = memo[sig] = self._judge(phase, rows)
+            for kind, category, i, j in verdicts:
+                key = (phase, entry, kind, category)
+                if key in self._seen:
+                    continue
+                self._seen.add(key)
+                self.reports.append(CrossGPURace(
+                    entry=entry, kind=kind, category=category, phase=phase,
+                    first_device=rows[i][0], second_device=rows[j][0],
+                    first_tid=rows[i][2], second_tid=rows[j][2]))
         self._granules.clear()
         self._final.clear()
+
+    def _judge(self, phase: int, rows: List[_Occupant]
+               ) -> List[Tuple[RaceKind, RaceCategory, int, int]]:
+        """The first racing pair per ``(kind, category)`` among one
+        granule's occupants, in pair order, as ``(kind, category, lo,
+        hi)`` occupant indices (lo: lower device)."""
+        endpoints = [self._endpoint(phase, row) for row in rows]
+        first: Dict[Tuple[RaceKind, RaceCategory], Tuple[int, int]] = {}
+        for i, a in enumerate(endpoints):
+            for j in range(i + 1, len(endpoints)):
+                b = endpoints[j]
+                verdict = cross_device_verdict(a, b)
+                if verdict is not None and verdict not in first:
+                    first[verdict] = (i, j) if a.device < b.device else (j, i)
+        return [(kind, category, i, j)
+                for (kind, category), (i, j) in first.items()]
 
     def _endpoint(self, phase: int, row: _Occupant) -> DeviceEndpoint:
         device, wid, tid, bid, kind, stamp = row

@@ -343,9 +343,9 @@ class MultiGPUSimulator:
 
 def _digest(result: MultiGPUResult, events: List[_MergedRecord]) -> str:
     """Bit-identity fingerprint: canonical stream + canonical record."""
-    h = hashlib.sha256()
-    for ev in events:
-        h.update(repr(ev).encode("utf-8"))
+    # one update over the joined reprs: SHA-256 streams, so these are
+    # the same bytes as one update per event
+    h = hashlib.sha256("".join(map(repr, events)).encode("utf-8"))
     record = result.record()
     record.pop("digest", None)
     h.update(json.dumps(record, sort_keys=True).encode("utf-8"))

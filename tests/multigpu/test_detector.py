@@ -157,6 +157,17 @@ class TestDirectoryWorkList:
         assert det.reports == []
         assert det.granules_pruned == 1
 
+    def test_sharer_count(self):
+        pool, arr, _ = make_detector(devices=3)
+        vpn = pool.vpn_of(arr.base)
+        directory = pool.directory
+        assert directory.sharer_count(vpn + 1000) == 0  # unregistered
+        assert directory.sharer_count(vpn) == 0  # registered, untouched
+        for d in (2, 0, 2):
+            directory.note_access(vpn, d, READ)
+        assert directory.sharer_count(vpn) == 2
+        assert directory.sharer_count(vpn + 1000) == 0
+
 
 class TestGranularityAndDedup:
     def test_wide_access_spans_multiple_granules(self):

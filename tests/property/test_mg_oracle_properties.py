@@ -1,11 +1,11 @@
 """Property suite: the multi-device oracle is exact (hypothesis).
 
-:class:`repro.core.groundtruth.MultiDeviceOracle` skips rows that
-cannot change a verdict and judges each repeated byte signature once.
-:class:`_ReferenceOracle` below is the plain form it must equal: every
-row of every byte kept, every byte judged pairwise in sorted order. On
-random record streams both must return the same races, down to the
-reported thread ids.
+:class:`repro.core.groundtruth.MultiDeviceOracle` keeps one span per
+lane, cuts each phase's spans into elementary segments and judges each
+distinct key tuple once per phase. :class:`_ReferenceOracle` below is
+the plain form it must equal: every row of every byte kept, every byte
+judged pairwise in sorted order. On random record streams both must
+return the same races, down to the reported thread ids.
 """
 
 from typing import Dict, List, Tuple
@@ -79,33 +79,46 @@ _KINDS = [int(AccessKind.READ), int(AccessKind.WRITE),
           int(AccessKind.ATOMIC)]
 
 
+#: (lane sizes, window bytes): narrow lanes that all overlap, and wide
+#: lanes in a wider window, so one span covers many segments
+_NARROW = ((1, 2, 4, 8), 16)
+_WIDE = ((1, 2, 4, 8, 16, 32), 64)
+
+
 @st.composite
-def _lane(draw):
-    size = draw(st.sampled_from([1, 2, 4, 8]))
-    # a 16-byte window keeps accesses of every size overlapping
-    addr = draw(st.integers(0, 16 - size))
+def _lane(draw, shape):
+    sizes, window = shape
+    size = draw(st.sampled_from(sizes))
+    addr = draw(st.integers(0, window - size))
     return draw(st.integers(0, 31)), addr, size
 
 
 @st.composite
-def _op(draw, device, phase):
+def _op(draw, device, phase, shape, fences_only=False):
     wid = draw(st.integers(0, 2))
-    if draw(st.integers(0, 3)) == 0:
+    if fences_only or draw(st.integers(0, 3)) == 0:
         return ("F", device, phase, wid, draw(st.integers(0, 1)))
-    lanes = draw(st.lists(_lane(), min_size=1, max_size=6))
+    lanes = draw(st.lists(_lane(shape), min_size=1, max_size=6))
     return ("A", device, phase, wid, wid // 2, draw(st.sampled_from(_KINDS)),
             wid * 32, lanes)
 
 
 @st.composite
-def _stream(draw):
+def _stream(draw, shape=_NARROW, quiet_phases=False):
     """Phase-major records: fences of scope 0 and 1 fall before and
-    after accesses of every kind, on 2-4 devices."""
+    after accesses of every kind, on 2-4 devices. With ``quiet_phases``
+    a phase may also be fence-only or empty."""
     devices = draw(st.integers(2, 4))
     records = []
     for phase in range(draw(st.integers(1, 3))):
+        mode = (draw(st.sampled_from(["mixed", "fences", "empty"]))
+                if quiet_phases else "mixed")
+        if mode == "empty":
+            continue
         for device in range(devices):
-            records.extend(draw(st.lists(_op(device, phase), max_size=8)))
+            records.extend(draw(st.lists(
+                _op(device, phase, shape, fences_only=mode == "fences"),
+                max_size=8)))
     return records
 
 
@@ -124,6 +137,64 @@ class TestOracleExactness:
     def test_matches_reference(self, records):
         assert _feed(MultiDeviceOracle(), records) == \
             _feed(_ReferenceOracle(), records)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_stream(shape=_WIDE, quiet_phases=True))
+    def test_matches_reference_wide_lanes_and_quiet_phases(self, records):
+        assert _feed(MultiDeviceOracle(), records) == \
+            _feed(_ReferenceOracle(), records)
+
+    def test_wide_write_against_narrow_reads(self):
+        """One 32-byte write on device 0 overlaps reads of 1-8 bytes at
+        several offsets on devices 1 and 2: every covered byte races,
+        each against the first read that covers it."""
+        write, read = int(AccessKind.WRITE), int(AccessKind.READ)
+        records = [
+            ("A", 0, 0, 0, 0, write, 0, [(3, 8, 32)]),
+            ("A", 1, 0, 0, 0, read, 0, [(0, 4, 8), (1, 20, 2)]),
+            ("A", 2, 0, 1, 0, read, 32, [(0, 11, 1), (5, 36, 8)]),
+            ("A", 1, 0, 2, 1, read, 64, [(7, 14, 4)]),
+        ]
+        races = _feed(MultiDeviceOracle(), records)
+        assert races == _feed(_ReferenceOracle(), records)
+        assert [r.byte for r in races] == (
+            [8, 9, 10, 11, 14, 15, 16, 17, 20, 21, 36, 37, 38, 39])
+        readers = {r.byte: (r.second_device, r.second_tid) for r in races}
+        assert readers[8] == (1, 0) and readers[11] == (1, 0)
+        assert readers[14] == (1, 71) and readers[20] == (1, 1)
+        assert readers[36] == (2, 37)
+        assert {(r.first_device, r.first_tid) for r in races} == {(0, 3)}
+
+    def test_fence_between_writes_splits_signature(self):
+        """A warp writes bytes 0-3, issues a system fence, then writes
+        bytes 8-11; a peer reads both. The two writes differ only in
+        their fence stamp, and only the second one races."""
+        write, read = int(AccessKind.WRITE), int(AccessKind.READ)
+        records = [
+            ("A", 0, 0, 0, 0, write, 0, [(0, 0, 4)]),
+            ("F", 0, 0, 0, 1),
+            ("A", 0, 0, 0, 0, write, 0, [(0, 8, 4)]),
+            ("A", 1, 0, 0, 0, read, 0, [(0, 0, 4), (1, 8, 4)]),
+        ]
+        races = _feed(MultiDeviceOracle(), records)
+        assert races == _feed(_ReferenceOracle(), records)
+        assert [r.byte for r in races] == [8, 9, 10, 11]
+
+    def test_one_signature_two_fence_finalities(self):
+        """The same key tuple judged in two phases: the write is
+        unpublished in phase 0 and published by a later system fence in
+        phase 1, so phase 0's verdicts must not leak into phase 1."""
+        write, read = int(AccessKind.WRITE), int(AccessKind.READ)
+        lanes = [(0, 0, 4), (1, 8, 4)]
+        records = []
+        for phase in (0, 1):
+            records += [("A", 0, phase, 0, 0, write, 0, lanes),
+                        ("A", 1, phase, 0, 0, read, 0, lanes)]
+        records.append(("F", 0, 1, 0, 1))
+        races = _feed(MultiDeviceOracle(), records)
+        assert races == _feed(_ReferenceOracle(), records)
+        assert {r.phase for r in races} == {0}
+        assert len(races) == 8
 
     def test_fence_before_and_after_write(self):
         """A system fence after the write publishes it; one before does

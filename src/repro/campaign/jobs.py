@@ -224,7 +224,6 @@ JOB_EXECUTORS: Dict[str, str] = {
     "fuzz": "repro.fuzz.worker:execute_fuzz_record",
     "analyze": "repro.analyze.worker:execute_analyze_record",
     "replay": "repro.serve.worker:execute_replay_record",
-    "perf": "repro.harness.benchperf:execute_perf_record",
     "multigpu": "repro.multigpu.runner:execute_mg_record",
     "mganalyze": "repro.analyze.mgworker:execute_mg_analyze_record",
 }

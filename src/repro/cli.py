@@ -534,27 +534,6 @@ def _cmd_submit(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_bench_perf(args) -> int:
-    from repro.harness.benchperf import (
-        bench_path,
-        render_summary,
-        run_bench_perf,
-        write_bench_file,
-    )
-
-    record = run_bench_perf(quick=args.quick, workers=args.workers)
-    if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
-    else:
-        print(render_summary(record))
-    if not args.no_write:
-        path = write_bench_file(record, args.output)
-        print(f"wrote {path}")
-    else:
-        _ = bench_path(args.output)
-    return 0
-
-
 def _cmd_analyze_mg(args) -> int:
     """Multi-device static analysis: the ``--gpus N`` route.
 
@@ -950,24 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list registered backends and exit")
     sub_p.set_defaults(fn=_cmd_submit)
 
-    bp_p = sub.add_parser(
-        "bench-perf", help="measure simulator, fuzz, detector, multi-GPU, "
-                           "service, and static-prefilter throughput; "
-                           "writes BENCH_10.json")
-    bp_p.add_argument("--quick", action="store_true",
-                      help="smaller workloads (CI smoke; marked in the "
-                           "output record)")
-    bp_p.add_argument("--workers", type=int, default=0,
-                      help="service worker processes for the throughput "
-                           "section (0 = inline)")
-    bp_p.add_argument("--output", default=None, metavar="FILE",
-                      help="where to write the canonical record "
-                           "(default: BENCH_10.json at the repo root)")
-    bp_p.add_argument("--no-write", action="store_true",
-                      help="print only; do not write the bench file")
-    bp_p.add_argument("--json", action="store_true",
-                      help="print the full record as JSON")
-    bp_p.set_defaults(fn=_cmd_bench_perf)
     return p
 
 

@@ -279,7 +279,7 @@ async def run_service(config: ServiceConfig,
 class ServerThread:
     """A service running in a dedicated thread + event loop.
 
-    The embedding used by tests, `repro bench-perf`, and anything else
+    The embedding used by tests, `perfbench/`, and anything else
     that wants a live HTTP endpoint without owning an event loop::
 
         with ServerThread(ServiceConfig(port=0, workers=0)) as server:

@@ -50,8 +50,10 @@ class TestExecutorRegistry:
         assert result["name"] == "SCAN"
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(JobSpecError):
-            execute_record({"schema": 1, "kind": "nope"})
+        # "perf" is a retired kind: its old records must fail typed
+        for kind in ("nope", "perf"):
+            with pytest.raises(JobSpecError, match="no executor"):
+                execute_record({"schema": 1, "kind": kind})
 
     def test_register_validates_target(self):
         with pytest.raises(JobSpecError):

@@ -1,0 +1,232 @@
+"""tools/perf_compare.py: the judge, run validity and pair order.
+
+Every sample is synthetic; no perfbench process runs.
+"""
+
+import contextlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location(
+        "perf_compare", ROOT / "tools" / "perf_compare.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("perf_compare", mod)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+tool = _tool()
+
+#: ten samples around 100 with an IQR/median of about 2%
+SPREAD = [100.0, 101.0, 99.0, 102.0, 98.0, 100.5, 99.5, 101.5, 98.5, 100.0]
+
+
+def _output(metrics, rounds=2, correct=True, failed=0, override=False):
+    info = {"info": {"rounds": rounds, "override_set": override,
+                     "overrides": {"REPRO_X": "1"} if override else {},
+                     "errors": []}}
+    result = {"correct": correct, "attempted": 10, "failed": failed,
+              "metrics": {k: {"value": v, "unit": "-"}
+                          for k, v in metrics.items()}}
+    return "warm-up log\n" + json.dumps(info) + "\n" + json.dumps(result)
+
+
+def _metrics(trace, scale=1.0):
+    names = SPEC["end_to_end"] if trace == 0 else SPEC["per_layer"]
+    return {m["name"]: 10.0 * (scale if m["name"] == "sim_inst_per_s"
+                               else 1.0) for m in names}
+
+
+class _Harness:
+    """main() with git, the export and perfbench replaced by fakes."""
+
+    def __init__(self, monkeypatch, tmp_path, change=None):
+        self.calls = []
+        self.base_root = tmp_path
+        self.base = lambda trace: (0, _output(_metrics(trace)))
+        self.change = change or self.base
+        monkeypatch.setattr(tool, "git", lambda *args: "c0ffee")
+        monkeypatch.setattr(tool, "exported", self._exported)
+        monkeypatch.setattr(tool, "run_perfbench", self._run)
+
+    @contextlib.contextmanager
+    def _exported(self, commit):
+        yield self.base_root
+
+    def _run(self, root, workload, seconds, trace):
+        side = "base" if root == self.base_root else "change"
+        self.calls.append((side, trace))
+        return (self.base if side == "base" else self.change)(trace)
+
+
+class TestJudge:
+    def test_identical_samples_not_flagged(self):
+        for better in ("higher", "lower"):
+            v = tool.judge_metric(SPREAD, list(SPREAD), better, 0.25)
+            assert v["verdict"] == "-"
+            assert v["wins"] == 0
+            assert v["p"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("better, factor, verdict", [
+        ("higher", 1.1, "better"), ("higher", 0.9, "worse"),
+        ("lower", 1.1, "worse"), ("lower", 0.9, "better"),
+    ])
+    def test_ten_percent_shift_flagged_in_direction(self, better, factor,
+                                                    verdict):
+        change = [x * factor for x in SPREAD]
+        v = tool.judge_metric(SPREAD, change, better, 0.25)
+        assert v["verdict"] == verdict
+        assert v["p"] < 0.05
+        assert abs(v["shift_vs_iqr"]) > 1
+        assert v["wins"] == (10 if verdict == "better" else 0)
+
+    def test_wide_parent_spread_is_unresolved(self):
+        base = [60.0, 100.0, 140.0, 80.0, 120.0]
+        v = tool.judge_metric(base, list(base), "higher", 0.25)
+        assert v["base_iqr"] / v["base_median"] > 0.25
+        assert v["verdict"] == "unresolved"
+
+    @pytest.mark.parametrize("better, factor", [("higher", 0.7),
+                                                ("lower", 1.3)])
+    def test_median_worse_than_bound_is_regression(self, better, factor):
+        v = tool.judge_metric(SPREAD, [x * factor for x in SPREAD],
+                              better, 0.25)
+        assert v["verdict"] == "regression"
+
+    def test_worse_within_bound_is_not_regression(self):
+        v = tool.judge_metric(SPREAD, [x * 0.8 for x in SPREAD], "higher",
+                              0.25)
+        assert v["verdict"] == "worse"
+
+    def test_ties_count_for_neither_side(self):
+        v = tool.judge_metric([1.0, 2.0, 3.0], [1.0, 3.0, 2.0], "higher")
+        assert v["wins"] == 1
+
+    def test_counts_compared_exactly(self):
+        same = tool.judge_count([(3, 300.0), (2, 200.0)],
+                                [(2, 200.0), (3, 300.0)])
+        assert same["verdict"] == "equal"
+        assert same["base_median"] == same["change_median"] == 100.0
+        off_by_one = tool.judge_count([(3, 300.0)], [(3, 301.0)])
+        assert off_by_one["verdict"] == "differs"
+        # no round count in common: equal only through an invariant
+        fixed = tool.judge_count([(2, 40.0), (4, 40.0)], [(3, 40.0)])
+        assert fixed["verdict"] == "equal"
+        proportional = tool.judge_count([(2, 200.0)], [(3, 300.0)])
+        assert proportional["verdict"] == "equal"
+        disjoint = tool.judge_count([(2, 200.0)], [(3, 360.0)])
+        assert disjoint["verdict"] == "unresolved"
+        assert disjoint["change_median"] == 120.0
+        # a count that varies by round is compared at shared round counts
+        varying = tool.judge_count([(2, 200.0), (3, 330.0)], [(3, 330.0)])
+        assert varying["verdict"] == "equal"
+        assert tool.judge_count([(2, 200.0), (3, 330.0)],
+                                [(3, 331.0)])["verdict"] == "differs"
+
+
+class TestPerRound:
+    def _runs(self, rounds_and_scale):
+        return [{"trace0": {"rounds": r, "metrics": _metrics(0)},
+                 "trace1": {"rounds": r, "metrics": {
+                     k: v * r * s for k, v in _metrics(1).items()}}}
+                for r, s in rounds_and_scale]
+
+    def test_layer_totals_divided_by_rounds(self):
+        runs = {"base": self._runs([(2, 1.0)] * 5),
+                "change": self._runs([(3, 1.0)] * 5)}
+        verdicts = tool.judge_workload(runs, SPEC)
+        for name in ("core.detector.self_s", "unattributed_s"):
+            assert verdicts[name]["base_median"] == 10.0
+            assert verdicts[name]["change_median"] == 10.0
+            assert verdicts[name]["verdict"] == "-"
+        assert verdicts["core.detector.calls"]["change_median"] == 10.0
+        # a fraction is not a total: it is not divided
+        assert verdicts["memory.l1_hit_rate"]["change_median"] == 30.0
+        # nor is an end-to-end metric: setup_s is a one-off cost
+        for m in SPEC["end_to_end"]:
+            v = verdicts[m["name"]]
+            assert v["base_median"] == v["change_median"] == 10.0
+            assert v["verdict"] == "-"
+
+    def test_slower_layer_flagged_per_round(self):
+        runs = {"base": self._runs([(2, 1.0 + i / 100) for i in range(8)]),
+                "change": self._runs([(3, 1.2 + i / 100)
+                                      for i in range(8)])}
+        verdicts = tool.judge_workload(runs, SPEC)
+        assert verdicts["core.detector.self_s"]["verdict"] == "worse"
+        assert verdicts["core.detector.calls"]["verdict"] == "differs"
+
+
+class TestRuns:
+    def test_order_alternates_across_pairs(self):
+        assert tool.schedule(4) == [("base", "change"), ("change", "base"),
+                                    ("base", "change"), ("change", "base")]
+
+    def test_each_side_runs_trace_0_then_1(self, monkeypatch, tmp_path):
+        h = _Harness(monkeypatch, tmp_path)
+        assert tool.main(["HEAD", "--workload", "fuzz-sweep",
+                          "--pairs", "3"]) == 0
+        assert h.calls == [
+            ("base", 0), ("base", 1), ("change", 0), ("change", 1),
+            ("change", 0), ("change", 1), ("base", 0), ("base", 1),
+            ("base", 0), ("base", 1), ("change", 0), ("change", 1)]
+
+    def test_regression_exits_1_and_is_recorded(self, monkeypatch,
+                                                tmp_path, capsys):
+        _Harness(monkeypatch, tmp_path / "base",
+                 change=lambda trace: (0, _output(_metrics(trace, 0.5))))
+        record = tmp_path / "BENCH_99.json"
+        assert tool.main(["HEAD", "--workload", "mg-suite", "--pairs", "4",
+                          "--record", str(record)]) == 1
+        assert "verdict: regression" in capsys.readouterr().out
+        data = json.loads(record.read_text(encoding="utf-8"))
+        assert data["schema"] == 2
+        assert data["verdict"] == "regression"
+        assert data["regressions"] == ["mg-suite/sim_inst_per_s"]
+        mg = data["workloads"]["mg-suite"]
+        assert len(mg["runs"]["change"]) == 4
+        assert mg["metrics"]["sim_inst_per_s"]["change_median"] == 5.0
+
+    def test_metric_missing_from_base_exits_2(self, monkeypatch, tmp_path,
+                                              capsys):
+        h = _Harness(monkeypatch, tmp_path)
+        metrics = _metrics(1)
+        del metrics["core.detector.calls"]
+        h.base = lambda trace: (0, _output(metrics if trace
+                                           else _metrics(0)))
+        assert tool.main(["HEAD", "--workload", "mg-suite",
+                          "--pairs", "2"]) == 2
+        assert "core.detector.calls" in capsys.readouterr().err
+
+    def test_failed_export_exits_2(self, monkeypatch, tmp_path):
+        _Harness(monkeypatch, tmp_path)
+
+        @contextlib.contextmanager
+        def broken(commit):
+            raise tool.subprocess.CalledProcessError(2, "tar")
+            yield
+
+        monkeypatch.setattr(tool, "exported", broken)
+        assert tool.main(["HEAD", "--workload", "mg-suite"]) == 2
+
+    @pytest.mark.parametrize("result", [
+        (0, _output(_metrics(0), correct=False)),
+        (0, _output(_metrics(0), failed=1)),
+        (0, _output(_metrics(0), override=True)),
+        (1, ""),
+    ], ids=["incorrect", "failed", "override_set", "nonzero_exit"])
+    def test_invalid_run_exits_2(self, monkeypatch, tmp_path, result):
+        h = _Harness(monkeypatch, tmp_path, change=lambda trace: result)
+        assert tool.main(["HEAD", "--workload", "paper-suite",
+                          "--pairs", "5"]) == 2
+        # the comparison stops at the first invalid run
+        assert h.calls[-1] == ("change", 0)

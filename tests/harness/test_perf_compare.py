@@ -144,11 +144,14 @@ class TestPerRound:
         runs = {"base": self._runs([(2, 1.0)] * 5),
                 "change": self._runs([(3, 1.0)] * 5)}
         verdicts = tool.judge_workload(runs, SPEC)
-        for name in ("core.detector.self_s", "unattributed_s"):
-            assert verdicts[name]["base_median"] == 10.0
-            assert verdicts[name]["change_median"] == 10.0
-            assert verdicts[name]["verdict"] == "-"
+        assert verdicts["unattributed_s"]["base_median"] == 10.0
+        assert verdicts["unattributed_s"]["change_median"] == 10.0
+        assert verdicts["unattributed_s"]["verdict"] == "-"
         assert verdicts["core.detector.calls"]["change_median"] == 10.0
+        # a self time is a share of the run's traced wall time
+        assert verdicts["core.detector.self_s"]["base_median"] == 1.0
+        assert verdicts["core.detector.self_s"]["change_median"] == 1.0
+        assert verdicts["core.detector.self_s"]["verdict"] == "-"
         # a fraction is not a total: it is not divided
         assert verdicts["memory.l1_hit_rate"]["change_median"] == 30.0
         # nor is an end-to-end metric: setup_s is a one-off cost
@@ -157,13 +160,52 @@ class TestPerRound:
             assert v["base_median"] == v["change_median"] == 10.0
             assert v["verdict"] == "-"
 
-    def test_slower_layer_flagged_per_round(self):
+    def test_slower_layer_flagged_as_share(self):
         runs = {"base": self._runs([(2, 1.0 + i / 100) for i in range(8)]),
                 "change": self._runs([(3, 1.2 + i / 100)
                                       for i in range(8)])}
+        for run in runs["change"]:
+            run["trace1"]["metrics"]["core.detector.self_s"] *= 1.2
         verdicts = tool.judge_workload(runs, SPEC)
         assert verdicts["core.detector.self_s"]["verdict"] == "worse"
         assert verdicts["core.detector.calls"]["verdict"] == "differs"
+
+
+class TestHostNoise:
+    """Ten pairs whose runs each see a host-wide factor within +-15%."""
+
+    #: the host factor of each run: it scales every layer and the wall
+    HOST = [0.85, 1.15, 0.9, 1.1, 0.95, 1.05, 0.88, 1.12, 1.0, 0.97]
+    #: per-run jitter of the layer itself, about 1%
+    JITTER = [1.0, 1.01, 0.99, 1.005, 0.995, 1.0, 1.01, 0.99, 1.0, 1.005]
+
+    def _runs(self, host, layer_factor):
+        runs = []
+        for h, j in zip(host, self.JITTER):
+            metrics = _metrics(1)
+            layer = 3.0 * layer_factor * j * h * 2
+            metrics["core.detector.self_s"] = layer
+            metrics[tool.WALL] = 7.0 * h * 2 + layer
+            runs.append({"trace0": {"rounds": 2, "metrics": _metrics(0)},
+                         "trace1": {"rounds": 2, "metrics": metrics}})
+        return runs
+
+    def test_ten_percent_layer_slowdown_flagged_as_share(self):
+        runs = {"base": self._runs(self.HOST, 1.0),
+                "change": self._runs(self.HOST[::-1], 1.1)}
+        verdicts = tool.judge_workload(runs, SPEC)
+        assert verdicts["core.detector.self_s"]["verdict"] == "worse"
+        # seconds per round carry the host factor and hide the slowdown
+        per_round = {side: [run["trace1"]["metrics"]["core.detector.self_s"]
+                            / run["trace1"]["rounds"] for run in runs[side]]
+                     for side in runs}
+        assert tool.judge_metric(per_round["base"], per_round["change"],
+                                 "lower")["verdict"] == "-"
+
+    def test_identical_samples_flag_nothing(self):
+        runs = self._runs(self.HOST, 1.0)
+        verdicts = tool.judge_workload({"base": runs, "change": runs}, SPEC)
+        assert {v["verdict"] for v in verdicts.values()} <= {"-", "equal"}
 
 
 class TestRuns:

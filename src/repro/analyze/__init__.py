@@ -10,8 +10,10 @@ The multi-device extension (:mod:`repro.analyze.multidevice`) lifts the
 same contract to the cross-GPU race class: a fence-scope lattice
 (:mod:`repro.analyze.scopes`), a placement pass mirroring
 ``SharedPagePool`` semantics, and a pairwise classifier that defers to
-:func:`repro.core.groundtruth.cross_device_verdict` — validated
-differentially against the :class:`MultiDeviceOracle`.
+:func:`repro.core.racerule.cross_device_order` — validated
+differentially against the :class:`MultiDeviceOracle`. Both classifiers
+decide pairs by the race rule the oracles call
+(:mod:`repro.core.racerule`).
 """
 
 from repro.analyze.benchmodels import (

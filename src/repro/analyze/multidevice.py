@@ -17,13 +17,15 @@ The soundness architecture mirrors the single-device analyzer
   index ranges are small, so element footprints are enumerated, never
   approximated; symbolic reasoning only *explains* verdicts.
 - **the pair rule exists once.** Static endpoint pairs are judged by
-  calling :func:`repro.core.groundtruth.cross_device_verdict` itself on
-  reconstructed :class:`~repro.core.groundtruth.DeviceEndpoint` rows —
+  calling :func:`repro.core.racerule.cross_device_order` itself on
+  reconstructed :class:`~repro.core.racerule.DeviceEndpoint` rows —
   system atomics exempt, W/W always races in-phase, W/R suppressed only
   by a **system-scope** fence after the write (device-scope fences
   publish nothing to peers; see :mod:`repro.analyze.scopes`). The static
   layer's only claim of its own is the *endpoint reconstruction*: which
-  bytes each warp touches, and whether its writes are provably published.
+  bytes each warp touches, and whether its writes are provably published
+  (``None`` when a ``maybe`` fence decides it, which the rule reports as
+  a dependence). Proofs and reasons are the rule's named outcomes.
 - **placement is a verdict dimension.** Only ``shared=True`` arrays are
   peer-visible (mapped in every device's page table and registered in
   the home-node directory); a device-local array is race-free for the
@@ -55,6 +57,8 @@ from repro.analyze.scopes import (
 )
 from repro.common.bitops import align_up
 from repro.common.types import AccessKind
+from repro.core.racerule import (RACY, SAFE, UNKNOWN, DeviceEndpoint, Ordered,
+                                 Race, cross_device_order)
 
 #: bump when the IR, the pair rule, or the report shape changes
 MG_REPORT_SCHEMA = 1
@@ -69,7 +73,6 @@ _ATOMIC = int(AccessKind.ATOMIC)
 
 _KINDS = {"read": _READ, "write": _WRITE, "atomic": _ATOMIC}
 
-RACY, UNKNOWN, SAFE = "racy", "unknown", "race-free"
 _RANK = {SAFE: 0, UNKNOWN: 1, RACY: 2}
 
 
@@ -417,62 +420,28 @@ def collect_sites(program: MGProgram, layout: Dict[str, int]
 # ---------------------------------------------------------------------------
 
 
-def _to_device_endpoint(site: MGSite, fenced: Optional[bool] = None
-                        ) -> "Any":
-    from repro.core.groundtruth import DeviceEndpoint
-
-    return DeviceEndpoint(
-        device=site.device, phase=site.phase, wid=site.wid, tid=site.tid,
-        bid=site.bid, kind=site.kind,
-        sys_fenced_after=site.sys_fenced_after if fenced is None
-        else fenced)
-
-
 def classify_site_pair(a: MGSite, b: MGSite
                        ) -> Tuple[str, Optional[Tuple[str, str]], str]:
     """Judge one static endpoint pair for the XGPU race class.
 
-    Returns ``(status, (kind, category) | None, detail)``. The verdict
-    is :func:`~repro.core.groundtruth.cross_device_verdict` applied to
-    the reconstructed endpoints — the cross-GPU race rule is never
-    re-implemented here. ``unknown`` arises only from the static
-    layer's own uncertainty: conditional execution or conditional
-    publication, evaluated by running the exact rule under *both*
-    resolutions and reporting when they disagree.
+    Returns ``(status, (kind, category) | None, detail)``: the outcome
+    of :func:`~repro.core.racerule.cross_device_order` on the
+    reconstructed endpoints, with publication by a ``maybe`` fence left
+    to the rule as ``None``. The static layer adds one uncertainty of
+    its own: a race between accesses that may not execute is
+    ``unknown``.
     """
-    from repro.core.groundtruth import cross_device_verdict
-
-    if a.device == b.device:
-        return SAFE, None, "same-device accesses are outside the " \
-                           "cross-device race class"
-    if a.phase != b.phase:
-        return SAFE, None, "cross-phase: the host synchronize orders " \
-                           "all devices at the phase boundary"
-    outcomes = set()
-    for a_fenced in ((True, False) if a.publish_unknown
-                     else (a.sys_fenced_after,)):
-        for b_fenced in ((True, False) if b.publish_unknown
-                         else (b.sys_fenced_after,)):
-            outcomes.add(cross_device_verdict(
-                _to_device_endpoint(a, a_fenced),
-                _to_device_endpoint(b, b_fenced)))
-    if len(outcomes) > 1:
-        return UNKNOWN, None, "publication depends on a conditional " \
-                              "system-scope fence"
-    verdict = outcomes.pop()
-    if verdict is None:
-        if not (a.kind != _READ or b.kind != _READ):
-            return SAFE, None, "read/read pairs never conflict"
-        if a.kind == _ATOMIC and b.kind == _ATOMIC:
-            return SAFE, None, "system atomics serialize at the " \
-                               "home node"
-        return SAFE, None, "writer publishes with a system-scope " \
-                           "fence within the phase"
+    eps = [DeviceEndpoint(s.device, s.phase, s.wid, s.tid, s.bid, s.kind,
+                          None if s.publish_unknown else s.sys_fenced_after)
+           for s in (a, b)]
+    outcome = cross_device_order(*eps)
+    if not isinstance(outcome, Race):
+        return (SAFE if isinstance(outcome, Ordered) else UNKNOWN, None,
+                str(outcome))
     if a.conditional or b.conditional:
         return UNKNOWN, None, "conflicting access is conditional " \
                               "(may not execute)"
-    kind, category = verdict
-    return RACY, (kind.name, category.name), ""
+    return RACY, (outcome.kind.name, outcome.category.name), ""
 
 
 @dataclass

@@ -4,8 +4,10 @@ The analyzer's soundness contract: its verdicts must hold for **every**
 legal interleaving, while the ground-truth oracle it is graded against
 observes exactly **one** deterministic schedule. So each potentially
 conflicting pair of endpoints is evaluated *twice* — once with each
-endpoint as the earlier access — through a mirror of the oracle's
-pairwise dispatch (:meth:`repro.core.groundtruth.GroundTruthOracle._pair`):
+endpoint as the earlier access — through the race rule the oracle also
+calls (:func:`repro.core.racerule.classify` over
+:func:`repro.core.racerule.order`), with ``None`` for every fact the
+schedule decides:
 
 - both orders race        -> the byte is RACY (witness pair attached);
 - both orders are ordered -> SAFE, with the proof that ordered them;
@@ -51,9 +53,8 @@ from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
 
 from repro.analyze.lower import A_SHARED, WarpStream
 from repro.core.groundtruth import cut_segments
-
-#: verdict levels, in aggregation priority order
-RACY, UNKNOWN, SAFE = "racy", "unknown", "race-free"
+from repro.core.racerule import (RACY, SAFE, UNKNOWN, Facts, classify,
+                                 lane_overlap)
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ class Endpoint:
     oracle's ``_Endpoint``)."""
 
     tid: int
-    warp: int
-    block: int
+    wid: int
+    bid: int
     epoch: int
     locks: FrozenSet[int]
     atomic: bool
@@ -152,7 +153,7 @@ class AnalysisContext:
         self.warp_atomic_bytes = _AtomicSpans(spans)
 
     def may_fence_after(self, ep: Endpoint) -> bool:
-        return self._streams[ep.warp].may_fence_after(ep.pos)
+        return self._streams[ep.wid].may_fence_after(ep.pos)
 
 
 def collect_endpoints(streams: Sequence[WarpStream]
@@ -173,7 +174,7 @@ def collect_endpoints(streams: Sequence[WarpStream]
             n += 1
             for la in ins.lanes:
                 ep = Endpoint(
-                    tid=la.tid, warp=s.warp, block=s.block,
+                    tid=la.tid, wid=s.warp, bid=s.block,
                     epoch=ins.epoch, locks=la.locks,
                     atomic=ins.kind == "atomic",
                     is_write=ins.kind != "read", pos=ins.pos,
@@ -198,16 +199,16 @@ def segment_accesses(array: str, covering: List[_LaneSpan]
     cells: Dict[int, _Accesses] = {}
     seen: Dict[tuple, int] = {}
     for _lo, _hi, _n, ep in covering:
-        blk = ep.block if shared else -1
+        blk = ep.bid if shared else -1
         cell = cells.get(blk)
         if cell is None:
             cell = cells[blk] = _Accesses()
         if ep.is_write:
-            dedup: tuple = (blk, True, ep.warp, ep.epoch, ep.locks,
+            dedup: tuple = (blk, True, ep.wid, ep.epoch, ep.locks,
                             ep.atomic)
             lst = cell.writers
         else:
-            dedup = (blk, False, ep.warp, ep.epoch, ep.locks)
+            dedup = (blk, False, ep.wid, ep.epoch, ep.locks)
             lst = cell.readers
         i = seen.get(dedup)
         if i is None:
@@ -218,91 +219,18 @@ def segment_accesses(array: str, covering: List[_LaneSpan]
     return cells
 
 
-# ---------------------------------------------------------------------------
-# pairwise dispatch (two-order mirror of the oracle's _pair)
-# ---------------------------------------------------------------------------
-
-_RACE, _NONE, _DEPENDS = "race", "none", "depends"
-
-
-def _kind_of(prev: Endpoint, cur: Endpoint) -> str:
-    if prev.is_write and not cur.is_write:
-        return "RAW"
-    if not prev.is_write:
-        return "WAR"
-    return "WAW"
-
-
-def _order_outcome(prev: Endpoint, cur: Endpoint, array: str,
-                   byte: int, ctx: AnalysisContext) -> Tuple[str, str, str]:
-    """Oracle outcome for one fixed order, robust across schedules.
-
-    Returns ``(verdict, detail, category)`` with verdict one of
-    ``race`` / ``none`` / ``depends``; detail is a kind for races and a
-    proof/reason otherwise.
-    """
-    kind = _kind_of(prev, cur)
-    if array == A_SHARED:
-        # shared shadow: pure happens-before per barrier interval,
-        # cross-warp conflicts race unconditionally (no fences, no
-        # atomic exemption)
-        return _RACE, kind, "SHARED_BARRIER"
-
-    raw = kind == "RAW"
-    if prev.locks or cur.locks:
-        if prev.locks and cur.locks:
-            if prev.locks & cur.locks:
-                if not raw:
-                    return _NONE, "consistent lockset", ""
-                if prev.fenced:
-                    return (_NONE, "consistent lockset; producer fences "
-                                   "before unlock", "")
-                if not ctx.may_fence_after(prev):
-                    return _RACE, "RAW", "GLOBAL_FENCE"
-                return (_DEPENDS, "common-lock RAW depends on a later "
-                                  "fence landing in time", "")
-            return _RACE, kind, "GLOBAL_LOCKSET"
-        return _RACE, kind, "GLOBAL_LOCKSET"
-
-    if prev.atomic and cur.atomic:
-        return _NONE, "atomic RMWs serialize in the memory partition", ""
-    if prev.atomic and (cur.warp, array, byte) in ctx.warp_atomic_bytes:
-        # the consumer's warp also atomics this byte: the RMW chain may
-        # order the pair, depending on the serialization order
-        return (_DEPENDS, "atomic-chain ordering is "
-                          "schedule-dependent", "")
-    if raw:
-        if not ctx.may_fence_after(prev):
-            category = ("GLOBAL_BARRIER" if prev.block == cur.block
-                        else "GLOBAL_FENCE")
-            return _RACE, "RAW", category
-        return (_DEPENDS, "RAW outcome depends on fence timing", "")
-    return _RACE, kind, "GLOBAL_BARRIER"
-
-
-def classify_pair(a: Endpoint, b: Endpoint, array: str, byte: int,
-                  ctx: AnalysisContext) -> Tuple[str, Tuple[str, ...],
-                                                 Tuple[str, ...]]:
-    """Both-order classification of one conflicting endpoint pair.
-
-    Returns ``(status, kinds_or_proofs, categories)``.
-    """
-    if a.warp == b.warp:
-        return SAFE, ("warp-lockstep ordering",), ()
-    if a.block == b.block and a.epoch != b.epoch:
-        return SAFE, ("barrier-interval separation",), ()
-    o1 = _order_outcome(a, b, array, byte, ctx)
-    o2 = _order_outcome(b, a, array, byte, ctx)
-    verdicts = {o1[0], o2[0]}
-    if verdicts == {_RACE}:
-        kinds = tuple(sorted({o1[1], o2[1]}))
-        cats = tuple(sorted({c for c in (o1[2], o2[2]) if c}))
-        return RACY, kinds, cats
-    if verdicts == {_NONE}:
-        return SAFE, tuple(sorted({o1[1], o2[1]})), ()
-    reasons = tuple(sorted({o[1] for o in (o1, o2)
-                            if o[0] == _DEPENDS}))
-    return UNKNOWN, reasons or ("order-dependent outcome",), ()
+def facts(array: str, byte: int, ctx: AnalysisContext) -> Facts:
+    """What a static pass proves for one order on ``byte``: a store fenced
+    before its unlock is published to readers of the same lock, one whose
+    warp never fences again is not, and no chain orders a later endpoint
+    whose warp never atomics the byte. Anything else is ``None``."""
+    def of(prev: Endpoint, cur: Endpoint
+           ) -> Tuple[Optional[bool], Optional[bool]]:
+        return (True if prev.fenced and prev.locks
+                else None if ctx.may_fence_after(prev) else False,
+                None if (cur.wid, array, byte) in ctx.warp_atomic_bytes
+                else False)
+    return of
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +252,11 @@ def _lockset_coupling(cell: _Accesses, ctx: AnalysisContext
     for w in cell.writers:
         if w.locks and not w.fenced and not ctx.may_fence_after(w):
             for lk in w.locks:
-                writers_by_lock.setdefault(lk, {}).setdefault(w.warp, w)
+                writers_by_lock.setdefault(lk, {}).setdefault(w.wid, w)
     for r in cell.readers:
         if r.locks:
             for lk in r.locks:
-                readers_by_lock.setdefault(lk, {}).setdefault(r.warp, r)
+                readers_by_lock.setdefault(lk, {}).setdefault(r.wid, r)
     for lk, writers in sorted(writers_by_lock.items()):
         readers = readers_by_lock.get(lk, {})
         warps = sorted(set(writers) & set(readers))
@@ -376,9 +304,9 @@ def classify_segment(array: str, lo: int, hi: int, cell: _Accesses,
     pairs = [(w, o) for i, w in enumerate(cell.writers)
              for o in cell.writers[i + 1:]]
     pairs += [(w, r) for w in cell.writers for r in cell.readers]
+    shared, known = array == A_SHARED, facts(array, lo, ctx)
     for a, b in pairs:
-        st, info, cats = classify_pair(a, b, array, lo, ctx)
-        _merge(st, info, cats, (a, b))
+        _merge(*classify(a, b, shared, known), (a, b))
 
     coupled = _lockset_coupling(cell, ctx)
     if coupled is not None:
@@ -405,22 +333,18 @@ def intra_warp_findings(array: str, lo: int, hi: int,
     """Same-instruction overlapping writes of one warp (pre-issue check).
 
     The first instruction, in stream order, with two lanes writing the
-    segment races, witnessed by those two lanes. Emulated groups are
-    deterministic per warp, so these races are robust. Global atomics
-    serialize and are exempt; shared atomics are not (the shared RDU
-    has no atomic exemption).
+    segment races if :func:`repro.core.racerule.lane_overlap` says so,
+    witnessed by those two lanes. Emulated groups are deterministic per
+    warp, so these races are robust.
     """
-    shared = array == A_SHARED
     first: Dict[int, Endpoint] = {}  # instruction -> its first lane here
     for _lo, _hi, n, ep in covering:
-        if not ep.is_write or (ep.atomic and not shared):
-            continue
+        race = lane_overlap(ep.is_write, ep.atomic, array == A_SHARED)
         prev = first.setdefault(n, ep)
-        if prev is not ep:
+        if race is not None and prev is not ep:
             return SegmentFinding(
-                array=array, lo=lo, hi=hi, status=RACY, kinds=("WAW",),
-                categories=("SHARED_BARRIER" if shared
-                            else "GLOBAL_BARRIER",),
+                array=array, lo=lo, hi=hi, status=RACY,
+                kinds=(race.kind.name,), categories=(race.category.name,),
                 witness=(prev, ep))
     return None
 

@@ -8,13 +8,16 @@ issuing block, ``__threadfence`` to the issuing device, and only
 The static analyzer threads this four-point chain through every fence
 query instead of treating "fence" as one flavor:
 
-- the single-device pair rules (:mod:`repro.analyze.passes`) ask for
+- the single-device classifier (:mod:`repro.analyze.passes`) asks for
   publication at **device** scope — any IR fence qualifies, so
   single-device verdicts are unchanged by scope threading;
 - the cross-device classifier (:mod:`repro.analyze.multidevice`) asks
-  for **system** scope, mirroring
-  :func:`repro.core.groundtruth.cross_device_verdict`: a device-scope
+  for **system** scope, the publication
+  :func:`repro.core.racerule.cross_device_order` reads: a device-scope
   fence after a write publishes nothing to peers.
+
+Either way the answer is a fact passed to the race rule
+(:mod:`repro.core.racerule`), which decides what publication orders.
 
 The chain is a total order, so ``join``/``meet`` are ``max``/``min`` and
 *monotonicity* holds by construction: strengthening a fence's scope can

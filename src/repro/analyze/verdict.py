@@ -74,7 +74,7 @@ def _merge_regions(per_stmt: Dict[int, Tuple[int, int]]
 def _endpoint_dict(ep: Endpoint) -> Dict[str, object]:
     return {
         "tid": ep.tid,
-        "block": ep.block,
+        "block": ep.bid,
         "stmt": ep.stmt,
         "tag": ep.tag,
         "write": ep.is_write,

@@ -9,42 +9,16 @@ scale: an offline detector that is **exact** over a recorded trace
 per-block barrier epochs, unbounded per-warp fence epochs, and precise
 per-thread locksets reconstructed from the trace's lock markers.
 
-Semantics (deliberately mirroring the architecture the paper detects
-*for*, not the detector's finite-state approximation of it):
-
-- two accesses by the same warp are ordered (lockstep execution);
-- two accesses by the same block in different barrier epochs are ordered
-  (``__syncthreads``); barrier epochs are counted exactly per block;
-- a read of another warp's write is *suppressed* iff the writing warp
-  issued a ``__threadfence`` after the write — the fence epoch is kept
-  per warp, never reset (the race register file persists across
-  launches), and never truncated;
-- critical sections follow the paper's lockset rules pairwise: disjoint
-  locksets on a conflict race (category iv); a common lock orders
-  conflicts *except* a cross-warp read of an unfenced write (Fig. 2(b),
-  reported as category iii); mixing protected and unprotected conflicting
-  accesses races;
-- two hardware atomics never race with each other (they serialize in the
-  memory partition) — in **global** memory; the shared-memory table has
-  no atomic exemption, and the oracle mirrors that;
-- the serialization order of atomics on one location is a happens-before
-  chain: a warp that performed an atomic on a byte is ordered after every
-  earlier atomic in that byte's chain, so its *subsequent* accesses to
-  the byte cannot race with those atomics (the ticket/"last block resets
-  the counter" idiom, e.g. PSUM's single-pass partial-sum counter);
-- same-instruction writes of one warp race iff their byte footprints
-  overlap (the associative pre-issue check), with the atomic-atomic
-  exemption in global memory only;
-- a read served from a non-coherent L1 while the last writer sits on a
-  different SM is reported stale (§IV-B) when the pair is unordered.
-
-Race *categories* are assigned exactly as the detector assigns them
-(the paper's i–iv taxonomy): SHARED_BARRIER for shared-memory races,
-GLOBAL_BARRIER for same-block global races and all global WAW/WAR,
-GLOBAL_FENCE for cross-block RAW and unfenced common-lock RAW,
-GLOBAL_LOCKSET for critical-section violations. Unlike the detector, the
-oracle never loses a pair to entry refreshes, signature aliasing, or
-epoch wraparound — diffs against it are the fuzzer's measurement.
+Every pair is decided by the one race rule, :func:`repro.core.racerule.order`
+(its module docstring states the semantics and the paper's i–iv
+categories); this module supplies the exact facts. Barrier epochs are
+counted per block; the fence epoch is kept per warp, never reset (the
+race register file persists across launches) and never truncated, so
+fence publication is exact; trace order is the serialization order of
+each byte's atomic RMW chain; and an L1 hit on a different SM than the
+last writer marks a read stale. Unlike the detector, the oracle never
+loses a pair to entry refreshes, signature aliasing, or epoch
+wraparound — diffs against it are the fuzzer's measurement.
 
 Verdicts are exact per byte, but the shadow state is kept per access
 span segment: global memory and each block's shared memory map a
@@ -60,10 +34,12 @@ bytes in the order a byte-at-a-time oracle would report them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Any, Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, TypeVar)
+from typing import (Any, Dict, FrozenSet, Iterable, Iterator, List, Sequence,
+                    Tuple, TypeVar)
 
 from repro.common.types import AccessKind, MemSpace, RaceCategory, RaceKind
+from repro.core.racerule import (DeviceEndpoint, Race, first_races,
+                                 lane_overlap, order)
 
 _READ = int(AccessKind.READ)
 _ATOMIC = int(AccessKind.ATOMIC)
@@ -323,7 +299,7 @@ class GroundTruthOracle:
                 for seg in ((hit,) if hit is not None and hit.hi == addr + size
                             else self._cover(shadow, space, addr,
                                             addr + size)):
-                    self._check_shared(seg, ep)
+                    self._check(True, seg, ep, False)
                     if pending:
                         self._expand(seg.hi - seg.lo)
         else:
@@ -340,7 +316,7 @@ class GroundTruthOracle:
                 for seg in ((hit,) if hit is not None and hit.hi == addr + size
                             else self._cover(shadow, space, addr,
                                             addr + size)):
-                    self._check_global(seg, ep, l1_hit)
+                    self._check(False, seg, ep, l1_hit)
                     if pending:
                         self._expand(seg.hi - seg.lo)
 
@@ -350,10 +326,10 @@ class GroundTruthOracle:
         Each byte belongs to the first lane that writes it; a later lane
         writing it races with that first lane.
         """
-        if ev.access_kind == _READ:
-            return
-        # concurrent global atomics to one location serialize
-        if ev.access_kind == _ATOMIC and space != MemSpace.SHARED:
+        atomic = ev.access_kind == _ATOMIC
+        race = lane_overlap(ev.access_kind != _READ, atomic,
+                            space == MemSpace.SHARED)
+        if race is None:
             return
         lanes = [l[:3] for l in ev.lanes]
         reach = None
@@ -363,9 +339,6 @@ class GroundTruthOracle:
             reach = hi
         else:
             return  # no two lanes overlap
-        atomic = ev.access_kind == _ATOMIC
-        category = (RaceCategory.SHARED_BARRIER if space == MemSpace.SHARED
-                    else RaceCategory.GLOBAL_BARRIER)
         owned: List[Tuple[int, int, int]] = []  # (lo, hi, first lane)
         for lane, addr, size in lanes:
             lo, hi = addr, addr + size
@@ -384,127 +357,43 @@ class GroundTruthOracle:
                 cur = _Endpoint(ev.base_tid + lane, ev.warp_id,
                                 ev.block_id, ev.sm_id, 0, 0, frozenset(),
                                 atomic, True)
-                self._report(space, t_lo, RaceKind.WAW, category, prev, cur)
+                self._report(space, t_lo, race.kind, race.category, prev,
+                             cur)
                 self._expand(t_hi - t_lo)
             if lo < hi:
                 owned.append((lo, hi, lane))
 
-    # ------------------------------------------------------------------
-    # shared memory: pure happens-before within a barrier interval
-
-    def _check_shared(self, seg: _Segment, ep: _Endpoint) -> None:
-        byte = seg.lo
-        if ep.is_write:
-            for prev in seg.writers.values():
-                if prev.wid != ep.wid:
-                    self._report(MemSpace.SHARED, byte, RaceKind.WAW,
-                                 RaceCategory.SHARED_BARRIER, prev, ep)
-            for prev in seg.readers.values():
-                if prev.wid != ep.wid:
-                    self._report(MemSpace.SHARED, byte, RaceKind.WAR,
-                                 RaceCategory.SHARED_BARRIER, prev, ep)
-            seg.writers[ep.wid] = ep
-        else:
-            for prev in seg.writers.values():
-                if prev.wid != ep.wid:
-                    self._report(MemSpace.SHARED, byte, RaceKind.RAW,
-                                 RaceCategory.SHARED_BARRIER, prev, ep)
-            seg.readers[ep.wid] = ep
-
-    # ------------------------------------------------------------------
-    # global memory: barriers + fences + locksets + atomics
-
-    def _check_global(self, seg: _Segment, ep: _Endpoint,
-                      l1_hit: bool) -> None:
-        byte = seg.lo
+    def _check(self, shared: bool, seg: _Segment, ep: _Endpoint,
+               l1_hit: bool) -> None:
+        """Judge ``ep`` against the segment's earlier endpoints by the
+        race rule, then record it (per warp in shared memory, whose
+        shadow holds one barrier interval and no locks)."""
         chain = seg.atomic_pos.get(ep.wid, -1)
-        if ep.atomic:
-            # chain position is a per-segment property, so give this
-            # segment its own endpoint copy (the caller shares one across
-            # the lane)
+        if ep.atomic:  # a chain position is per segment: copy the lane's
             ep = _Endpoint(ep.tid, ep.wid, ep.bid, ep.sid, ep.epoch,
-                           ep.fence, ep.locks, True, ep.is_write,
-                           pos=seg.next_pos)
+                           ep.fence, ep.locks, True, True, seg.next_pos)
+            seg.atomic_pos[ep.wid] = seg.next_pos
             seg.next_pos += 1
-        if ep.is_write:
-            for prev in seg.writers.values():
-                self._pair(byte, prev, ep, l1_hit, chain)
-            for prev in seg.readers.values():
-                self._pair(byte, prev, ep, l1_hit, chain)
+        fence_now = self._fence_now
+        stale = l1_hit and self.stale_check
+        for prevs in ((seg.writers, seg.readers) if ep.is_write
+                      else (seg.writers,)):
+            for prev in prevs.values():
+                outcome = order(prev, ep, shared,
+                                fence_now.get(prev.wid, 0) != prev.fence,
+                                chain > prev.pos,
+                                stale and prev.sid != ep.sid,
+                                self.fence_check)
+                if type(outcome) is Race:
+                    self._report(MemSpace.SHARED if shared
+                                 else MemSpace.GLOBAL, seg.lo, outcome.kind,
+                                 outcome.category, prev, ep, outcome.stale)
+        if shared:
+            (seg.writers if ep.is_write else seg.readers)[ep.wid] = ep
+        elif ep.is_write:
             seg.writers[(ep.wid, ep.epoch, ep.locks, ep.atomic)] = ep
         else:
-            for prev in seg.writers.values():
-                self._pair(byte, prev, ep, l1_hit, chain)
             seg.readers[(ep.wid, ep.epoch, ep.locks)] = ep
-        if ep.atomic:
-            seg.atomic_pos[ep.wid] = ep.pos
-
-    def _pair(self, byte: int, prev: _Endpoint, cur: _Endpoint,
-              l1_hit: bool, chain: int = -1) -> None:
-        """Exact pairwise dispatch; at least one endpoint is a write.
-
-        ``chain`` is the position of ``cur``'s warp's latest atomic in
-        this byte's RMW serialization chain (-1 when it has none).
-        """
-        # happens-before: lockstep warps, and barriers within a block
-        if prev.wid == cur.wid:
-            return
-        if prev.bid == cur.bid and prev.epoch != cur.epoch:
-            return
-        # atomic-chain happens-before: cur's warp performed an atomic on
-        # this byte *after* prev's atomic, so the serialized RMW chain
-        # orders prev before everything cur's warp did since
-        if prev.atomic and chain > prev.pos:
-            return
-
-        raw = prev.is_write and not cur.is_write
-        war = not prev.is_write  # then cur must be the write
-        kind = (RaceKind.RAW if raw
-                else RaceKind.WAR if war else RaceKind.WAW)
-
-        # lockset rules take priority inside critical sections (§III-B)
-        if prev.locks or cur.locks:
-            if prev.locks and cur.locks:
-                if prev.locks & cur.locks:
-                    # common lock orders the pair — except a read of a
-                    # write whose producer never fenced (Fig. 2(b))
-                    if (raw and self.fence_check
-                            and self._fence_now.get(prev.wid, 0)
-                            == prev.fence):
-                        self._report(MemSpace.GLOBAL, byte, RaceKind.RAW,
-                                     RaceCategory.GLOBAL_FENCE, prev, cur)
-                    return
-                self._report(MemSpace.GLOBAL, byte, kind,
-                             RaceCategory.GLOBAL_LOCKSET, prev, cur)
-                return
-            # protected/unprotected mixing on a conflict
-            self._report(MemSpace.GLOBAL, byte, kind,
-                         RaceCategory.GLOBAL_LOCKSET, prev, cur)
-            return
-
-        # serialized atomic RMW chains do not race with each other
-        if prev.atomic and cur.atomic:
-            return
-
-        if raw:
-            # non-coherent L1: the read may return the pre-write value
-            # even when a fence ordered the pair
-            if (self.stale_check and l1_hit and prev.sid != cur.sid):
-                self._report(MemSpace.GLOBAL, byte, RaceKind.RAW,
-                             RaceCategory.GLOBAL_FENCE, prev, cur,
-                             stale=True)
-                return
-            if (self.fence_check
-                    and self._fence_now.get(prev.wid, 0) != prev.fence):
-                return  # producer fenced after the write
-            category = (RaceCategory.GLOBAL_BARRIER
-                        if prev.bid == cur.bid else
-                        RaceCategory.GLOBAL_FENCE)
-            self._report(MemSpace.GLOBAL, byte, RaceKind.RAW, category,
-                         prev, cur)
-            return
-        self._report(MemSpace.GLOBAL, byte, kind,
-                     RaceCategory.GLOBAL_BARRIER, prev, cur)
 
 
 def oracle_races(events: Iterable,
@@ -591,71 +480,9 @@ def cut_segments(spans: Sequence[_S]
 # ---------------------------------------------------------------------------
 #
 # Multi-GPU runs open a race class the single-device oracle never sees:
-# conflicts between devices on shared (peer-mapped or unified) pages. The
-# semantics mirror the single-device model one level up:
-#
-# - kernels launched on different devices within one *host phase* are
-#   logically concurrent (the host never orders them); the host-side
-#   synchronize between phases orders everything, exactly like a barrier
-#   orders block epochs;
-# - a device-scope fence (``__threadfence``) publishes nothing to peers;
-#   only a **system-scope** fence (``__threadfence_system``) does — so the
-#   single-device fence-suppression rule lifts to: a cross-device W/R
-#   conflict is suppressed iff the writing warp issued a system-scope
-#   fence after the write, within the same phase;
-# - system atomics serialize at the page's home node, so two cross-device
-#   atomics never race (the global-memory atomic exemption, lifted);
-# - cross-device W/W conflicts in one phase always race (fences do not
-#   order writes against writes, matching the single-device model).
-#
-# Cross-device W/R conflicts are canonically reported as RAW regardless of
-# which endpoint the analysis encounters first: the two accesses are
-# logically concurrent, so "the read may observe the pre-write value" is
-# the failure either way. This keeps the verdict order-independent, which
-# is what makes the byte-level oracle and the granule-level directory
-# detector (repro.multigpu.detector) provably agree on entry sets.
-
-
-@dataclass(frozen=True)
-class DeviceEndpoint:
-    """One access endpoint in the cross-device analysis (plain data)."""
-
-    device: int
-    phase: int
-    wid: int             #: device-local warp id
-    tid: int             #: device-local grid thread id
-    bid: int
-    kind: int            #: AccessKind int value
-    sys_fenced_after: bool = False
-
-    @property
-    def is_write(self) -> bool:
-        return self.kind != _READ
-
-
-def cross_device_verdict(a: DeviceEndpoint, b: DeviceEndpoint
-                         ) -> Optional[Tuple[RaceKind, RaceCategory]]:
-    """Shared pair-verdict for cross-device conflicts (order-independent).
-
-    Returns ``None`` when the pair is ordered or exempt, else the
-    ``(kind, category)`` to report. Both the byte-exact
-    :class:`MultiDeviceOracle` and the granule-level directory detector
-    call this — the cross-GPU race rule exists exactly once.
-    """
-    if a.device == b.device or a.phase != b.phase:
-        return None
-    a_w = a.kind != _READ
-    b_w = b.kind != _READ
-    if not (a_w or b_w):
-        return None
-    if a.kind == _ATOMIC and b.kind == _ATOMIC:
-        return None  # system atomics serialize at the home node
-    if a_w and b_w:
-        return (RaceKind.WAW, RaceCategory.XGPU_SHARING)
-    writer = a if a_w else b
-    if writer.sys_fenced_after:
-        return None  # published by a system-scope fence within the phase
-    return (RaceKind.RAW, RaceCategory.XGPU_FENCE)
+# conflicts between devices on shared (peer-mapped or unified) pages.
+# :func:`repro.core.racerule.cross_device_order` decides each pair; the
+# oracle supplies each writer's phase-final system-scope fence state.
 
 
 @dataclass(frozen=True)
@@ -692,7 +519,8 @@ class MultiDeviceOracle:
     verdicts to :meth:`finish` — fence publication is a *phase-final*
     property, so judging online would depend on the interleaving of
     logically concurrent streams — and reports deduplicated
-    :class:`CrossDeviceRace` pairs via :func:`cross_device_verdict`.
+    :class:`CrossDeviceRace` pairs via
+    :func:`repro.core.racerule.first_races`.
 
     The state is one access span per lane, not one row per byte: bytes
     that the same lanes cover always get the same verdicts, so
@@ -773,25 +601,12 @@ class MultiDeviceOracle:
         """The first racing pair per ``(kind, category)`` among one
         segment's first spans per key, as ``(kind, category, lo, hi)``
         indices (lo: lower device), sorted by ``(kind, category)``."""
-        keys = [span[2] for span in firsts]
-        if (len({key[0] for key in keys}) < 2
-                or all(key[2] == _READ for key in keys)):
-            return []
-        eps: List[DeviceEndpoint] = []
-        for _, _, (device, wid, kind, stamp), tid, bid in firsts:
-            final = self._phase_final.get((device, phase, wid), stamp)
-            eps.append(DeviceEndpoint(device=device, phase=phase, wid=wid,
-                                      tid=tid, bid=bid, kind=kind,
-                                      sys_fenced_after=final > stamp))
-        first: Dict[Tuple[RaceKind, RaceCategory], Tuple[int, int]] = {}
-        for i, a in enumerate(eps):
-            for j in range(i + 1, len(eps)):
-                b = eps[j]
-                verdict = cross_device_verdict(a, b)
-                if verdict is not None and verdict not in first:
-                    first[verdict] = (i, j) if a.device < b.device else (j, i)
-        return [(kind, category, i, j)
-                for (kind, category), (i, j) in sorted(first.items())]
+        final = self._phase_final
+        eps = [DeviceEndpoint(device, phase, wid, tid, bid, kind,
+                              final.get((device, phase, wid), stamp) > stamp)
+               for _, _, (device, wid, kind, stamp), tid, bid in firsts]
+        return [(kind, category, i, j) for (kind, category), (i, j)
+                in sorted(first_races(eps).items())]
 
 
 def cross_device_entries(races: Iterable[CrossDeviceRace],

@@ -20,9 +20,9 @@ Two deliberate design points:
   comparable, so judging online at access time would depend on an
   arbitrary interleaving. Both this detector and the exact oracle
   (:class:`repro.core.groundtruth.MultiDeviceOracle`) defer to the phase
-  flush and share :func:`repro.core.groundtruth.cross_device_verdict` —
-  but they traverse structurally different state (granule endpoint sets
-  vs per-lane byte spans), so their agreement in the differential harness
+  flush and judge through :func:`repro.core.racerule.first_races` — but
+  they traverse structurally different state (granule endpoint sets vs
+  per-lane byte spans), so their agreement in the differential harness
   is a genuine cross-check, not a tautology.
 """
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.common.types import RaceCategory, RaceKind
-from repro.core.groundtruth import DeviceEndpoint, cross_device_verdict
+from repro.core.racerule import DeviceEndpoint, first_races
 from repro.multigpu.memory import SharedPagePool
 
 
@@ -122,7 +122,7 @@ class DirectoryDetector:
         """
         directory = self.pool.directory
         memo: Dict[Tuple[Tuple[int, int, int, int], ...],
-                   List[Tuple[RaceKind, RaceCategory, int, int]]] = {}
+                   Dict[Tuple[RaceKind, RaceCategory], Tuple[int, int]]] = {}
         vpn = sharers = -1
         for entry in sorted(self._granules):
             page = self.pool.vpn_of(entry * self.granularity)
@@ -140,8 +140,12 @@ class DirectoryDetector:
             sig = tuple(occupants)
             verdicts = memo.get(sig)
             if verdicts is None:
-                verdicts = memo[sig] = self._judge(phase, rows)
-            for kind, category, i, j in verdicts:
+                final = self._final
+                verdicts = memo[sig] = first_races([
+                    DeviceEndpoint(device, phase, wid, tid, bid, kind,
+                                   final.get((device, wid), stamp) > stamp)
+                    for device, wid, tid, bid, kind, stamp in rows])
+            for (kind, category), (i, j) in verdicts.items():
                 key = (phase, entry, kind, category)
                 if key in self._seen:
                     continue
@@ -152,29 +156,6 @@ class DirectoryDetector:
                     first_tid=rows[i][2], second_tid=rows[j][2]))
         self._granules.clear()
         self._final.clear()
-
-    def _judge(self, phase: int, rows: List[_Occupant]
-               ) -> List[Tuple[RaceKind, RaceCategory, int, int]]:
-        """The first racing pair per ``(kind, category)`` among one
-        granule's occupants, in pair order, as ``(kind, category, lo,
-        hi)`` occupant indices (lo: lower device)."""
-        endpoints = [self._endpoint(phase, row) for row in rows]
-        first: Dict[Tuple[RaceKind, RaceCategory], Tuple[int, int]] = {}
-        for i, a in enumerate(endpoints):
-            for j in range(i + 1, len(endpoints)):
-                b = endpoints[j]
-                verdict = cross_device_verdict(a, b)
-                if verdict is not None and verdict not in first:
-                    first[verdict] = (i, j) if a.device < b.device else (j, i)
-        return [(kind, category, i, j)
-                for (kind, category), (i, j) in first.items()]
-
-    def _endpoint(self, phase: int, row: _Occupant) -> DeviceEndpoint:
-        device, wid, tid, bid, kind, stamp = row
-        final = self._final.get((device, wid), stamp)
-        return DeviceEndpoint(device=device, phase=phase, wid=wid, tid=tid,
-                              bid=bid, kind=kind,
-                              sys_fenced_after=final > stamp)
 
     # ------------------------------------------------------------------
     # diff surface

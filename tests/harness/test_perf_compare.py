@@ -6,6 +6,7 @@ Every sample is synthetic; no perfbench process runs.
 import contextlib
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -209,6 +210,16 @@ class TestHostNoise:
 
 
 class TestRuns:
+    def test_loading_the_tool_leaves_scipy_unimported(self):
+        """perfbench children inherit the tool's peak RSS, so loading
+        it must not pull in scipy (~99 MB resident)."""
+        code = ("import importlib.util, sys\n"
+                "spec = importlib.util.spec_from_file_location(\n"
+                f"    'perf_compare', {str(ROOT / 'tools' / 'perf_compare.py')!r})\n"
+                "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+                "assert 'scipy' not in sys.modules, 'scipy imported'\n")
+        subprocess.run([sys.executable, "-c", code], check=True)
+
     def test_order_alternates_across_pairs(self):
         assert tool.schedule(4) == [("base", "change"), ("change", "base"),
                                     ("base", "change"), ("change", "base")]

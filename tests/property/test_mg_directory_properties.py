@@ -15,7 +15,7 @@ from typing import Dict, List, Set, Tuple
 from hypothesis import given, settings, strategies as st
 
 from repro.common.types import AccessKind
-from repro.core.groundtruth import DeviceEndpoint, cross_device_verdict
+from repro.core.racerule import DeviceEndpoint, cross_device_verdict
 from repro.gpu.device import DeviceMemory
 from repro.multigpu.detector import CrossGPURace, DirectoryDetector
 from repro.multigpu.memory import SharedPagePool

@@ -13,12 +13,8 @@ from typing import Dict, List, Tuple
 from hypothesis import given, settings, strategies as st
 
 from repro.common.types import AccessKind
-from repro.core.groundtruth import (
-    CrossDeviceRace,
-    DeviceEndpoint,
-    MultiDeviceOracle,
-    cross_device_verdict,
-)
+from repro.core.groundtruth import CrossDeviceRace, MultiDeviceOracle
+from repro.core.racerule import DeviceEndpoint, cross_device_verdict
 
 
 class _ReferenceOracle:

@@ -5,21 +5,24 @@ access span segment, splits a segment only where a lane covers part of
 it, judges each covered segment once and expands the reported races to
 bytes. :class:`_ReferenceOracle` below is the plain form it must equal:
 one history per byte, every byte judged, each race recorded as it is
-found. Both share the pairwise rule (``_pair``). On random traces both
-must return the same race list, down to its order, the first thread and
-block ids and the stale-L1 flags.
+found. Both judge through the one race rule
+(:func:`repro.core.racerule.order` and
+:func:`repro.core.racerule.lane_overlap`). On random traces both must
+return the same race list, down to its order, the first thread and block
+ids and the stale-L1 flags.
 """
 
 from typing import Dict
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.types import AccessKind, MemSpace, RaceCategory, RaceKind
+from repro.common.types import AccessKind, MemSpace, RaceCategory
 from repro.core.groundtruth import (
     GroundTruthOracle,
     OracleRace,
     _Endpoint,
 )
+from repro.core.racerule import Race, lane_overlap, order
 from repro.harness.trace import TraceEvent
 
 _READ = int(AccessKind.READ)
@@ -74,18 +77,14 @@ class _ReferenceOracle(GroundTruthOracle):
                     self._byte_global(byte, ep, l1_hit)
 
     def _intra_warp_waw(self, ev, space):
-        if ev.access_kind == _READ:
-            return
         atomic = ev.access_kind == _ATOMIC
-        category = (RaceCategory.SHARED_BARRIER if space == MemSpace.SHARED
-                    else RaceCategory.GLOBAL_BARRIER)
+        race = lane_overlap(ev.access_kind != _READ, atomic,
+                            space == MemSpace.SHARED)
         first: Dict[int, int] = {}
         for lane, addr, size in (l[:3] for l in ev.lanes):
             for byte in range(addr, addr + size):
                 prev_lane = first.setdefault(byte, lane)
-                if prev_lane == lane:
-                    continue
-                if atomic and space != MemSpace.SHARED:
+                if prev_lane == lane or race is None:
                     continue
                 prev = _Endpoint(ev.base_tid + prev_lane, ev.warp_id,
                                  ev.block_id, ev.sm_id, 0, 0, frozenset(),
@@ -93,28 +92,30 @@ class _ReferenceOracle(GroundTruthOracle):
                 cur = _Endpoint(ev.base_tid + lane, ev.warp_id,
                                 ev.block_id, ev.sm_id, 0, 0, frozenset(),
                                 atomic, True)
-                self._report(space, byte, RaceKind.WAW, category, prev, cur)
+                self._report(space, byte, race.kind, race.category, prev,
+                             cur)
+
+    def _judge(self, space, byte, prevs, ep, chain, l1_hit):
+        for prev in prevs:
+            outcome = order(
+                prev, ep, space == MemSpace.SHARED,
+                self._fence_now.get(prev.wid, 0) != prev.fence,
+                chain > prev.pos,
+                self.stale_check and l1_hit and prev.sid != ep.sid,
+                self.fence_check)
+            if isinstance(outcome, Race):
+                self._report(space, byte, outcome.kind, outcome.category,
+                             prev, ep, outcome.stale)
 
     def _byte_shared(self, shadow, byte, ep):
         st_ = shadow.get(byte)
         if st_ is None:
             st_ = shadow[byte] = _ByteState()
+        prevs = list(st_.writers.values())
         if ep.is_write:
-            for prev in st_.writers.values():
-                if prev.wid != ep.wid:
-                    self._report(MemSpace.SHARED, byte, RaceKind.WAW,
-                                 RaceCategory.SHARED_BARRIER, prev, ep)
-            for prev in st_.readers.values():
-                if prev.wid != ep.wid:
-                    self._report(MemSpace.SHARED, byte, RaceKind.WAR,
-                                 RaceCategory.SHARED_BARRIER, prev, ep)
-            st_.writers[ep.wid] = ep
-        else:
-            for prev in st_.writers.values():
-                if prev.wid != ep.wid:
-                    self._report(MemSpace.SHARED, byte, RaceKind.RAW,
-                                 RaceCategory.SHARED_BARRIER, prev, ep)
-            st_.readers[ep.wid] = ep
+            prevs += st_.readers.values()
+        self._judge(MemSpace.SHARED, byte, prevs, ep, -1, False)
+        (st_.writers if ep.is_write else st_.readers)[ep.wid] = ep
 
     def _byte_global(self, byte, ep, l1_hit):
         st_ = self._global.get(byte)
@@ -127,14 +128,13 @@ class _ReferenceOracle(GroundTruthOracle):
                            pos=st_.next_pos)
             st_.next_pos += 1
         if ep.is_write:
-            for prev in st_.writers.values():
-                self._pair(byte, prev, ep, l1_hit, chain)
-            for prev in st_.readers.values():
-                self._pair(byte, prev, ep, l1_hit, chain)
+            self._judge(MemSpace.GLOBAL, byte, [*st_.writers.values(),
+                                                *st_.readers.values()],
+                        ep, chain, l1_hit)
             st_.writers[(ep.wid, ep.epoch, ep.locks, ep.atomic)] = ep
         else:
-            for prev in st_.writers.values():
-                self._pair(byte, prev, ep, l1_hit, chain)
+            self._judge(MemSpace.GLOBAL, byte, list(st_.writers.values()),
+                        ep, chain, l1_hit)
             st_.readers[(ep.wid, ep.epoch, ep.locks)] = ep
         if ep.atomic:
             st_.atomic_pos[ep.wid] = ep.pos

@@ -6,7 +6,7 @@ Two end-to-end guarantees the ISSUE pins:
   program never flips a region from race-free to racy (publication can
   only grow on the chain none < block < device < system);
 - **exactness** — on unconditional endpoints the static pair classifier
-  agrees with :func:`repro.core.groundtruth.cross_device_verdict` bit
+  agrees with :func:`repro.core.racerule.cross_device_verdict` bit
   for bit under every scope assignment, because it *is* that rule
   applied to reconstructed endpoints.
 """
@@ -22,7 +22,7 @@ from repro.analyze.multidevice import (
     classify_site_pair,
 )
 from repro.analyze.scopes import all_scopes, publishes, scope_join
-from repro.core.groundtruth import DeviceEndpoint, cross_device_verdict
+from repro.core.racerule import DeviceEndpoint, cross_device_verdict
 
 # ---------------------------------------------------------------------------
 # lattice-level properties

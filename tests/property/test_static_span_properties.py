@@ -4,10 +4,12 @@
 spans into elementary segments and classifies each segment once. The
 per-byte classifier below is the plain form it must equal: one cell per
 ``(array, block, byte)``, every byte classified, intra-warp overlaps
-found byte by byte, and regions aggregated byte by byte. Both share the
-pair rules (``classify_pair`` and ``_order_outcome``). On random warp
-streams and on generated programs, the per-byte expansion of the segment
-findings and the final ``report_json`` must be identical.
+found byte by byte, and regions aggregated byte by byte. Both judge
+pairs through the one race rule (:func:`repro.core.racerule.classify`
+under :func:`repro.analyze.passes.facts`, and
+:func:`repro.core.racerule.lane_overlap`). On random warp streams and on
+generated programs, the per-byte expansion of the segment findings and
+the final ``report_json`` must be identical.
 """
 
 from typing import Dict, List, Optional, Set, Tuple
@@ -32,7 +34,7 @@ from repro.analyze.passes import (
     UNKNOWN,
     Endpoint,
     _lockset_coupling,
-    classify_pair,
+    facts,
 )
 from repro.analyze.scopes import SCOPE_BLOCK, SCOPE_DEVICE, SCOPE_SYSTEM
 from repro.analyze.verdict import (
@@ -43,6 +45,7 @@ from repro.analyze.verdict import (
     build_report,
     report_json,
 )
+from repro.core.racerule import classify, lane_overlap
 from repro.fuzz.generator import generate_program
 
 _RANK = {SAFE: 0, UNKNOWN: 1, RACY: 2}
@@ -82,7 +85,7 @@ class _ByteContext:
                         self.warp_atomic_bytes.add((s.warp, la.array, b))
 
     def may_fence_after(self, ep):
-        return self._streams[ep.warp].may_fence_after(ep.pos)
+        return self._streams[ep.wid].may_fence_after(ep.pos)
 
 
 def _byte_cells(streams):
@@ -93,7 +96,7 @@ def _byte_cells(streams):
         for ins in s.instrs:
             for la in ins.lanes:
                 ep = Endpoint(
-                    tid=la.tid, warp=s.warp, block=s.block,
+                    tid=la.tid, wid=s.warp, bid=s.block,
                     epoch=ins.epoch, locks=la.locks,
                     atomic=ins.kind == "atomic",
                     is_write=ins.kind != "read", pos=ins.pos,
@@ -103,10 +106,10 @@ def _byte_cells(streams):
                     key = (la.array, blk, b)
                     cell = cells.setdefault(key, passes._Accesses())
                     if ep.is_write:
-                        dedup = (ep.warp, ep.epoch, ep.locks, ep.atomic)
+                        dedup = (ep.wid, ep.epoch, ep.locks, ep.atomic)
                         slots, lst = w_keys, cell.writers
                     else:
-                        dedup = (ep.warp, ep.epoch, ep.locks)
+                        dedup = (ep.wid, ep.epoch, ep.locks)
                         slots, lst = r_keys, cell.readers
                     seen = slots.setdefault(key, {})
                     if dedup in seen:
@@ -148,7 +151,8 @@ def _classify_byte(array, byte, cell, ctx):
              for o in cell.writers[i + 1:]]
     pairs += [(w, r) for w in cell.writers for r in cell.readers]
     for a, b in pairs:
-        merge(*classify_pair(a, b, array, byte, ctx), (a, b))
+        merge(*classify(a, b, array == A_SHARED, facts(array, byte, ctx)),
+              (a, b))
     coupled = _lockset_coupling(cell, ctx)
     if coupled is not None:
         merge(RACY, ("RAW",), ("GLOBAL_FENCE",), coupled)
@@ -161,7 +165,7 @@ def _classify_byte(array, byte, cell, ctx):
 
 
 def _lane_endpoint(s, ins, la):
-    return Endpoint(tid=la.tid, warp=s.warp, block=s.block,
+    return Endpoint(tid=la.tid, wid=s.warp, bid=s.block,
                     epoch=ins.epoch, locks=la.locks,
                     atomic=ins.kind == "atomic", is_write=True, pos=ins.pos,
                     stmt=la.stmt, tag=la.tag, fenced=la.fenced)
@@ -171,9 +175,9 @@ def _intra_warp(streams):
     found: Dict[Tuple[str, int], _ByteFinding] = {}
     for s in streams:
         for ins in s.instrs:
-            if ins.kind == "read":
-                continue
-            if ins.kind == "atomic" and ins.space == "G":
+            race = lane_overlap(ins.kind != "read", ins.kind == "atomic",
+                                ins.space == "S")
+            if race is None:
                 continue
             first: Dict[Tuple[str, int], LaneAccess] = {}
             for la in ins.lanes:
@@ -182,10 +186,9 @@ def _intra_warp(streams):
                     prev = first.setdefault(key, la)
                     if prev is la or key in found:
                         continue
-                    category = ("SHARED_BARRIER" if ins.space == "S"
-                                else "GLOBAL_BARRIER")
                     found[key] = _ByteFinding(
-                        la.array, b, RACY, ("WAW",), (category,),
+                        la.array, b, RACY, (race.kind.name,),
+                        (race.category.name,),
                         witness=(_lane_endpoint(s, ins, prev),
                                  _lane_endpoint(s, ins, la)))
     return [found[k] for k in sorted(found)]

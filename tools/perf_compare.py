@@ -57,8 +57,6 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from scipy.stats import mannwhitneyu
-
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 ALPHA = 0.05
@@ -153,6 +151,10 @@ def judge_metric(base: Sequence[float], change: Sequence[float],
                  better: str, bound: Optional[float] = None
                  ) -> Dict[str, Any]:
     """Compare the per-pair samples of one timing metric."""
+    # scipy is imported here, not at load: a perfbench child starts with
+    # this process's peak RSS, and scipy alone is ~99 MB of it
+    from scipy.stats import mannwhitneyu
+
     sign = 1.0 if better == "higher" else -1.0
     base_median = statistics.median(base)
     change_median = statistics.median(change)
@@ -317,11 +319,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         with exported(base_commit) as base_root:
             roots = {"base": base_root, "change": ROOT}
-            for workload in workloads:
-                runs = measure(roots, workload, args.pairs, args.seconds)
-                verdicts = judge_workload(runs, spec)
-                print(render(workload, verdicts), flush=True)
-                results[workload] = {"runs": runs, "metrics": verdicts}
+            # every run comes before the first judgment, which imports
+            # scipy (see judge_metric)
+            runs = {workload: measure(roots, workload, args.pairs,
+                                      args.seconds)
+                    for workload in workloads}
+        for workload in workloads:
+            verdicts = judge_workload(runs[workload], spec)
+            print(render(workload, verdicts), flush=True)
+            results[workload] = {"runs": runs[workload], "metrics": verdicts}
     except InvalidRun as exc:
         print(f"error: invalid run: {exc}", file=sys.stderr)
         return 2

@@ -369,7 +369,7 @@ class GroundTruthOracle:
         race rule, then record it (per warp in shared memory, whose
         shadow holds one barrier interval and no locks)."""
         chain = seg.atomic_pos.get(ep.wid, -1)
-        if ep.atomic:  # a chain position is per segment: copy the lane's
+        if ep.atomic:  # chain positions are per segment: copy the endpoint
             ep = _Endpoint(ep.tid, ep.wid, ep.bid, ep.sid, ep.epoch,
                            ep.fence, ep.locks, True, True, seg.next_pos)
             seg.atomic_pos[ep.wid] = seg.next_pos

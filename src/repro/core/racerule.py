@@ -139,7 +139,7 @@ def classify(a: Any, b: Any, shared: bool, facts: Facts
     if both orders race under ``facts``, race-free if both are ordered,
     else unknown. Facts are asked only when the pair needs them."""
     first = order(a, b, shared, False, False)
-    if first in _SYNCED:
+    if isinstance(first, Ordered) and first in _SYNCED:
         return SAFE, (first,), ()
     first = order(a, b, shared, *facts(a, b))
     second = order(b, a, shared, *facts(b, a))

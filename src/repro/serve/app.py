@@ -3,7 +3,8 @@
 Endpoints (see docs/SERVICE.md for the full reference):
 
 - ``POST /traces``       upload a HART trace (binary or JSON-lines body);
-  returns its content digest. Corrupt uploads get a structured 400.
+  returns its content digest. Corrupt uploads get a structured 400; a
+  byte-identical repeat of a stored trace is answered without a parse.
 - ``POST /jobs``         submit ``{"trace": digest, "backend": name}``
   (plus ``"program"`` for the static backend); 200 with a done state on
   a verdict-cache hit, 202 queued otherwise, 429 + Retry-After under
@@ -239,6 +240,7 @@ class Service:
         counters: Dict[str, Any] = {}
         for name, value in self.metrics.items():
             counters[f"serve_{name}"] = value
+        counters["serve_uploads_known"] = self.traces.known_uploads
         for name, value in self.scheduler.metrics.items():
             counters[f"jobs_{name}"] = value
         for name, value in self.pool.stats.items():

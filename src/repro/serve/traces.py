@@ -1,12 +1,19 @@
 """Content-addressed store for uploaded HART traces.
 
-Uploads are parsed (rejecting corrupt/truncated files with
+A new upload is parsed (rejecting corrupt/truncated files with
 :class:`~repro.common.errors.TraceFormatError`), re-encoded to the
-canonical binary form, and stored under their SHA-256 digest:
+canonical binary form, and stored under its SHA-256 digest:
 ``root/<digest[:2]>/<digest>.hart`` plus a ``.meta.json`` sidecar with
 the event count and byte size. Re-encoding makes the digest independent
 of the upload format — JSON-lines and binary uploads of the same logical
 trace share one entry — and guarantees every stored file is loadable.
+
+Each trace is parsed once. Every stored file is canonical and named by
+its own SHA-256, so an upload whose raw bytes hash to a stored name *is*
+that already-validated trace, byte for byte: :meth:`TraceStore.put_bytes`
+answers it from the store with no parse and no re-encode, and counts it
+in ``known_uploads``. JSON-lines uploads never hash to a stored name and
+always take the full path.
 
 Writes are atomic (temp + rename); a concurrent identical upload simply
 wins the rename race with identical bytes.
@@ -30,6 +37,8 @@ class TraceStore:
     def __init__(self, root: os.PathLike | str) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: uploads answered from the store without a parse
+        self.known_uploads = 0
 
     # ------------------------------------------------------------------
 
@@ -46,8 +55,14 @@ class TraceStore:
         """Validate, canonicalize, and store one uploaded trace.
 
         Returns the upload receipt: digest, event count, stored bytes.
-        Raises :class:`TraceFormatError` if the upload does not parse.
+        An upload that is byte-identical to a stored file gets that
+        entry's receipt without a parse. Raises
+        :class:`TraceFormatError` if the upload does not parse.
         """
+        raw = sha256_hex(data)
+        if raw in self:
+            self.known_uploads += 1
+            return self.meta(raw)
         events = parse_trace(data)
         canonical = dump_binary(events)
         digest = sha256_hex(canonical)

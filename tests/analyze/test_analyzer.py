@@ -8,7 +8,10 @@ from repro.analyze import (
     device_layout,
     report_json,
 )
+from repro.analyze.lower import A_GLOBAL, LaneAccess, WarpInstr, WarpStream
+from repro.analyze.passes import classify_program
 from repro.core.groundtruth import oracle_races
+from repro.core.racerule import Race, order
 from repro.fuzz.generator import generate_program
 from repro.fuzz.program import FuzzProgram, record_program
 
@@ -79,6 +82,43 @@ class TestWitnesses:
         assert w["space"] == "GLOBAL"
         layout = device_layout(program)
         assert w["byte"] == layout["fuzz_g"] + w["array_byte"]
+
+
+def _rmw_streams(warp_epochs):
+    """Warps of block 0 that each run unfenced read-modify-write
+    sections on global bytes 0-3 under lock 3, one per listed epoch."""
+    def instr(warp, pos, epoch, kind):
+        lane = LaneAccess(tid=warp * 32, lane=0, array=A_GLOBAL, addr=0,
+                          size=4, locks=frozenset({3}), stmt=pos)
+        return WarpInstr(pos, epoch, kind, "G", (lane,))
+    return [WarpStream(warp, 0, [instr(warp, 2 * i + k, epoch, kind)
+                                 for i, epoch in enumerate(epochs)
+                                 for k, kind in enumerate(("read",
+                                                           "write"))])
+            for warp, epochs in warp_epochs.items()]
+
+
+class TestLocksetCoupling:
+    def test_witness_is_a_pair_the_rule_leaves_unordered(self):
+        """Warp 0 runs its section in epochs 0 and 1, warp 1 only in
+        epoch 1: the witness must come from epoch 1, not pair warp 0's
+        epoch-0 write with warp 1's epoch-1 read across the barrier."""
+        finding, = classify_program(_rmw_streams({0: (0, 1), 1: (1,)}))[
+            A_GLOBAL]
+        assert finding.status == "racy"
+        assert (finding.kinds, finding.categories) == (("RAW",),
+                                                       ("GLOBAL_FENCE",))
+        first, second = finding.witness
+        assert {first.wid, second.wid} == {0, 1}
+        assert first.epoch == second.epoch == 1
+        assert isinstance(order(first, second, False, False, False), Race) \
+            or isinstance(order(second, first, False, False, False), Race)
+
+    def test_barrier_ordered_sections_do_not_couple(self):
+        finding, = classify_program(_rmw_streams({0: (0,), 1: (1,)}))[
+            A_GLOBAL]
+        assert finding.status == "race-free"
+        assert finding.witness is None
 
 
 class TestDeterminism:

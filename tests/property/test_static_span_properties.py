@@ -150,12 +150,13 @@ def _classify_byte(array, byte, cell, ctx):
     pairs = [(w, o) for i, w in enumerate(cell.writers)
              for o in cell.writers[i + 1:]]
     pairs += [(w, r) for w in cell.writers for r in cell.readers]
+    shared, known = array == A_SHARED, facts(array, byte, ctx)
     for a, b in pairs:
-        merge(*classify(a, b, array == A_SHARED, facts(array, byte, ctx)),
-              (a, b))
-    coupled = _lockset_coupling(cell, ctx)
+        merge(*classify(a, b, shared, known), (a, b))
+    coupled = _lockset_coupling(cell, ctx, shared, known)
     if coupled is not None:
-        merge(RACY, ("RAW",), ("GLOBAL_FENCE",), coupled)
+        race, w, r = coupled
+        merge(RACY, (race.kind.name,), (race.category.name,), (w, r))
     if not pairs and coupled is None:
         proofs.add("read-only bytes cannot race" if not cell.writers
                    else "thread-private indexing")

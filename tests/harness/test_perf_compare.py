@@ -103,6 +103,25 @@ class TestJudge:
                               better, 0.25)
         assert v["verdict"] == "regression"
 
+    def test_worse_median_not_confirmed_by_pairs_is_unresolved(self):
+        """BENCH_16.json: mg-suite job_p95_ms read +28% against its 25%
+        bound with the change better in 3 of 5 pairs (p = 0.84)."""
+        runs = json.loads((ROOT / "BENCH_16.json").read_text(
+            encoding="utf-8"))["workloads"]["mg-suite"]["runs"]
+        base, change = ([run["trace0"]["metrics"]["job_p95_ms"]
+                         for run in runs[side]]
+                        for side in ("base", "change"))
+        v = tool.judge_metric(base, change, "lower", 0.25)
+        assert v["change_median"] / v["base_median"] - 1 > 0.25
+        assert v["wins"] == 3
+        assert v["verdict"] == "unresolved"
+
+    def test_consistent_thirty_percent_is_regression(self):
+        base = [100.0, 90.0, 110.0, 95.0, 105.0]
+        v = tool.judge_metric(base, [x * 1.3 for x in base], "lower", 0.25)
+        assert v["wins"] == 0
+        assert v["verdict"] == "regression"
+
     def test_worse_within_bound_is_not_regression(self):
         v = tool.judge_metric(SPREAD, [x * 0.8 for x in SPREAD], "higher",
                               0.25)

@@ -32,10 +32,12 @@ median and IQR, "better in n/K pairs" (ties count for neither side),
 the median shift against the base's IQR, and the two-sided
 Mann-Whitney U p. It is flagged
 ``better`` or ``worse`` when p < 0.05 and the median shift is larger
-than the base's IQR. An end-to-end metric is ``unresolved`` when the
-base's IQR/median exceeds its bound in ``BENCHMARK.json``, and a
-``regression`` when the change's median is worse than the base's by
-more than the bound.
+than the base's IQR. An end-to-end metric is a ``regression`` when the
+change's median is worse than the base's by more than its bound in
+``BENCHMARK.json`` and the change is also worse in most pairs. It is
+``unresolved`` when its median is worse by more than the bound in no
+more than half of the pairs (a shift that the pairs do not confirm), or
+when the base's IQR/median exceeds the bound.
 
 Exit codes: 0 no regression, 1 a regression, 2 an invalid run, a failed
 export, a metric missing from a run, or a usage error. ``--record PATH``
@@ -162,6 +164,7 @@ def judge_metric(base: Sequence[float], change: Sequence[float],
     shift = change_median - base_median
     p = float(mannwhitneyu(base, change, alternative="two-sided").pvalue)
     p = 1.0 if p != p else p  # all samples tied
+    losses = sum(1 for b, c in zip(base, change) if sign * (c - b) < 0)
     out = {
         "base_median": base_median, "base_iqr": base_iqr,
         "change_median": change_median, "change_iqr": iqr(change),
@@ -178,7 +181,9 @@ def judge_metric(base: Sequence[float], change: Sequence[float],
         worse_by = (-sign * shift / abs(base_median) if base_median
                     else 0.0)
         if worse_by > bound:
-            out["verdict"] = "regression"
+            # a median past the bound counts only if the pairs agree
+            out["verdict"] = ("regression" if 2 * losses > len(base)
+                              else "unresolved")
         elif spread > bound:
             out["verdict"] = "unresolved"
     return out

@@ -15,11 +15,10 @@ free, exactly like the single-device sweeps.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.campaign.jobs import JOB_SCHEMA, JobSpecError
+from repro.campaign.jobs import JOB_SCHEMA, JobSpecError, record_key
 
 #: results with a different schema are never served from cache
 MGANALYZE_SCHEMA = 1
@@ -52,9 +51,7 @@ class MGAnalyzeJob:
         }
 
     def key(self) -> str:
-        payload = json.dumps(self.record(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return record_key(self.record())
 
     @classmethod
     def from_record(cls, record: Dict[str, Any]) -> "MGAnalyzeJob":
@@ -227,8 +224,7 @@ def run_mg_analyze_campaign(gpus: int = 2,
     race included — expected racy); ``injected`` adds every
     ``MG_INJECTION_CATALOG`` variant.
     """
-    from repro.campaign.pool import WorkerPool
-    from repro.campaign.store import ResultStore
+    from repro.campaign.engine import run_cached
 
     jobs: Dict[str, MGAnalyzeJob] = {}
     if benchmarks:
@@ -251,41 +247,15 @@ def run_mg_analyze_campaign(gpus: int = 2,
                            validate=validate)
         jobs[job.key()] = job
 
-    store = ResultStore(cache_dir) if cache_dir else None
-    result = MGAnalyzeCampaignResult()
-    by_key: Dict[str, Dict[str, Any]] = {}
-    to_run: Dict[str, MGAnalyzeJob] = {}
-    for key, job in jobs.items():
-        cached = store.get(job) if store is not None else None
-        if cached is not None and \
-                cached.get("schema") == MGANALYZE_SCHEMA:
-            by_key[key] = cached
-            result.cache_hits += 1
-        else:
-            to_run[key] = job
-
-    if to_run:
-        pool = WorkerPool(workers=workers, timeout=timeout)
-
-        def on_outcome(outcome: Any) -> None:
-            job = to_run[outcome.key]
-            if outcome.ok:
-                by_key[outcome.key] = outcome.record
-                if store is not None:
-                    store.put(job, outcome.record, outcome.elapsed)
-            else:
-                result.failures.append({
-                    "job": job.describe(),
-                    "status": outcome.status,
-                    "error": outcome.error,
-                })
-            if progress:
-                progress(job, outcome)
-
-        pool.run(to_run, on_outcome=on_outcome)
-
+    batch = run_cached(jobs, MGANALYZE_SCHEMA, cache_dir, workers, timeout,
+                       progress)
+    result = MGAnalyzeCampaignResult(cache_hits=batch.cache_hits)
+    result.failures = [
+        {"job": job.describe(), "status": outcome.status,
+         "error": outcome.error}
+        for job, outcome in batch.failures]
     result.results = sorted(
-        by_key.values(),
+        batch.records.values(),
         key=lambda r: (str(r.get("source", "")), str(r.get("note", ""))))
     return result
 

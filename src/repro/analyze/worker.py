@@ -13,7 +13,6 @@ sweeps get the campaign engine's cache/resume/parallelism for free.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -25,7 +24,7 @@ from typing import (
     Tuple,
 )
 
-from repro.campaign.jobs import JOB_SCHEMA, JobSpecError
+from repro.campaign.jobs import JOB_SCHEMA, JobSpecError, record_key
 from repro.fuzz.generator import GeneratorParams
 
 if TYPE_CHECKING:
@@ -68,9 +67,7 @@ class AnalyzeJob:
         }
 
     def key(self) -> str:
-        payload = json.dumps(self.record(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return record_key(self.record())
 
     @classmethod
     def from_record(cls, record: Dict[str, Any]) -> "AnalyzeJob":
@@ -185,8 +182,7 @@ def run_analyze_campaign(seed: int = 0, iterations: int = 0,
     ``benchmarks`` adds the ten race-free baseline models; ``injected``
     adds every distinct injected variant of the 41-spec catalog.
     """
-    from repro.campaign.pool import WorkerPool
-    from repro.campaign.store import ResultStore
+    from repro.campaign.engine import run_cached
 
     params = params or GeneratorParams()
     jobs: Dict[str, AnalyzeJob] = {}
@@ -210,40 +206,15 @@ def run_analyze_campaign(seed: int = 0, iterations: int = 0,
                              validate=validate)
             jobs[job.key()] = job
 
-    store = ResultStore(cache_dir) if cache_dir else None
-    result = AnalyzeCampaignResult()
-    by_key: Dict[str, Dict[str, Any]] = {}
-    to_run: Dict[str, AnalyzeJob] = {}
-    for key, job in jobs.items():
-        cached = store.get(job) if store is not None else None
-        if cached is not None and cached.get("schema") == ANALYZE_SCHEMA:
-            by_key[key] = cached
-            result.cache_hits += 1
-        else:
-            to_run[key] = job
-
-    if to_run:
-        pool = WorkerPool(workers=workers, timeout=timeout)
-
-        def on_outcome(outcome: Any) -> None:
-            job = to_run[outcome.key]
-            if outcome.ok:
-                by_key[outcome.key] = outcome.record
-                if store is not None:
-                    store.put(job, outcome.record, outcome.elapsed)
-            else:
-                result.failures.append({
-                    "job": job.describe(),
-                    "status": outcome.status,
-                    "error": outcome.error,
-                })
-            if progress:
-                progress(job, outcome)
-
-        pool.run(to_run, on_outcome=on_outcome)
-
+    batch = run_cached(jobs, ANALYZE_SCHEMA, cache_dir, workers, timeout,
+                       progress)
+    result = AnalyzeCampaignResult(cache_hits=batch.cache_hits)
+    result.failures = [
+        {"job": job.describe(), "status": outcome.status,
+         "error": outcome.error}
+        for job, outcome in batch.failures]
     result.results = sorted(
-        by_key.values(),
+        batch.records.values(),
         key=lambda r: (r.get("source", ""), r.get("index", 0),
                        r.get("note", "")))
     return result

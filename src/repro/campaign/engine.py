@@ -1,6 +1,6 @@
 """Campaign orchestration: cache -> queue -> pool -> store.
 
-Two entry points:
+Three entry points:
 
 - :func:`run_campaign` drives a declarative grid through the worker pool
   with the resumable state file, skipping anything the store already
@@ -9,13 +9,17 @@ Two entry points:
   calling ``run_benchmark`` (the experiment functions, the CLI) is served
   from the store transparently — cache hit: no simulator is built at
   all; miss: simulate in-process and persist for next time.
+- :func:`run_cached` serves a batch of any job kind from an optional
+  store and runs the misses on the pool (the fuzz and analyzer drivers).
+
+Both pool drivers run jobs in-process at ``workers <= 1``.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.campaign import queue as cq
 from repro.campaign.campaigns import Campaign
@@ -107,6 +111,13 @@ def session(store: ResultStore, read_only: bool = False):
 # campaign driver
 # ---------------------------------------------------------------------------
 
+def _pool(workers: int, timeout: Optional[float],
+          retries: int = 1) -> WorkerPool:
+    """The pool for a CLI's ``--workers``: one worker runs in-process."""
+    return WorkerPool(workers=workers if workers > 1 else 0,
+                      timeout=timeout, retries=retries)
+
+
 @dataclass
 class CampaignRun:
     """Outcome of one :func:`run_campaign` invocation."""
@@ -166,7 +177,7 @@ def run_campaign(campaign: Campaign,
             to_run[key] = job
     state.save()
 
-    pool = WorkerPool(workers=workers, timeout=timeout, retries=retries)
+    pool = _pool(workers, timeout, retries)
 
     def on_dispatch(key: str, worker_id: int, attempt: int) -> None:
         state.mark_running(key)
@@ -205,3 +216,56 @@ def run_campaign(campaign: Campaign,
     report["store_entries"] = len(store)
     return CampaignRun(campaign=campaign.name, state=state, report=report,
                        outcomes=outcomes)
+
+
+# ---------------------------------------------------------------------------
+# cached batches
+# ---------------------------------------------------------------------------
+
+@dataclass
+class CachedBatch:
+    """Outcome of one :func:`run_cached` call."""
+
+    records: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: ``(job, outcome)`` of every job that failed, in settle order
+    failures: List[Tuple[Any, JobOutcome]] = field(default_factory=list)
+    cache_hits: int = 0
+
+
+def run_cached(jobs: Dict[str, Any], schema: int,
+               cache_dir: Optional[str] = None,
+               workers: int = 1,
+               timeout: Optional[float] = None,
+               progress: Optional[Callable[[Any, JobOutcome], None]] = None
+               ) -> CachedBatch:
+    """Result records of ``jobs``: stored ones, then the pool's.
+
+    A stored record counts only when its ``schema`` field is ``schema``;
+    every other job runs on the pool, and each that succeeds is stored
+    when there is a ``cache_dir``. ``progress(job, outcome)`` fires for
+    every job the pool settles.
+    """
+    store = ResultStore(cache_dir) if cache_dir else None
+    batch = CachedBatch()
+    to_run: Dict[str, Any] = {}
+    for key, job in jobs.items():
+        cached = store.get(job) if store is not None else None
+        if cached is not None and cached.get("schema") == schema:
+            batch.records[key] = cached
+            batch.cache_hits += 1
+        else:
+            to_run[key] = job
+
+    def on_outcome(outcome: JobOutcome) -> None:
+        job = to_run[outcome.key]
+        if outcome.ok:
+            batch.records[outcome.key] = outcome.record
+            if store is not None:
+                store.put(job, outcome.record, outcome.elapsed)
+        else:
+            batch.failures.append((job, outcome))
+        if progress:
+            progress(job, outcome)
+
+    _pool(workers, timeout).run(to_run, on_outcome=on_outcome)
+    return batch

@@ -51,6 +51,12 @@ class JobSpecError(ConfigError):
     """A job argument cannot be canonically serialized."""
 
 
+def record_key(record: Dict[str, Any]) -> str:
+    """SHA-256 of a job record's canonical JSON: every job kind's key."""
+    payload = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def _config_record(cfg) -> Dict[str, Any]:
     """A frozen config dataclass as a plain dict (enums by name)."""
     out: Dict[str, Any] = {}
@@ -139,9 +145,7 @@ class Job:
 
     def key(self) -> str:
         """Stable content hash of the canonical form."""
-        payload = json.dumps(self.record(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return record_key(self.record())
 
     @classmethod
     def from_record(cls, record: Dict[str, Any]) -> "Job":

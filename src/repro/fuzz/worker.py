@@ -16,12 +16,10 @@ and two identical invocations produce identical corpus digests.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.jobs import JOB_SCHEMA, JobSpecError
+from repro.campaign.jobs import JOB_SCHEMA, JobSpecError, record_key
 from repro.fuzz.corpus import CorpusStore, corpus_digest
 from repro.fuzz.generator import GeneratorParams, generate_program
 from repro.fuzz.harness import ITERATION_SCHEMA, mode_by_name, run_iteration
@@ -59,9 +57,7 @@ class FuzzJob:
         }
 
     def key(self) -> str:
-        payload = json.dumps(self.record(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return record_key(self.record())
 
     @classmethod
     def from_record(cls, record: Dict[str, Any]) -> "FuzzJob":
@@ -205,48 +201,21 @@ def run_fuzz_campaign(seed: int, iterations: int,
     analyzer proves race-free (the flag participates in job keys, so
     prefiltered and full campaigns never share cache entries).
     """
-    from repro.campaign.pool import WorkerPool
-    from repro.campaign.store import ResultStore
+    from repro.campaign.engine import run_cached
 
     params = params or GeneratorParams()
     jobs = {job.key(): job for job in
             (FuzzJob(seed, i, params, tuple(modes), static_prefilter)
              for i in range(iterations))}
-    store = ResultStore(cache_dir) if cache_dir else None
+    batch = run_cached(jobs, ITERATION_SCHEMA, cache_dir, workers, timeout,
+                       progress)
 
-    result = FuzzCampaignResult()
-    by_key: Dict[str, Dict[str, Any]] = {}
-    to_run: Dict[str, FuzzJob] = {}
-    for key, job in jobs.items():
-        cached = store.get(job) if store is not None else None
-        if cached is not None and cached.get("schema") == ITERATION_SCHEMA:
-            by_key[key] = cached
-            result.cache_hits += 1
-        else:
-            to_run[key] = job
-
-    if to_run:
-        pool = WorkerPool(workers=workers, timeout=timeout)
-
-        def on_outcome(outcome) -> None:
-            job = to_run[outcome.key]
-            if outcome.ok:
-                by_key[outcome.key] = outcome.record
-                if store is not None:
-                    store.put(job, outcome.record, outcome.elapsed)
-            else:
-                result.failures.append({
-                    "index": job.index,
-                    "iteration_seed": job.iteration_seed,
-                    "status": outcome.status,
-                    "error": outcome.error,
-                })
-            if progress:
-                progress(job, outcome)
-
-        pool.run(to_run, on_outcome=on_outcome)
-
-    result.iterations = sorted(by_key.values(),
+    result = FuzzCampaignResult(cache_hits=batch.cache_hits)
+    result.failures = [
+        {"index": job.index, "iteration_seed": job.iteration_seed,
+         "status": outcome.status, "error": outcome.error}
+        for job, outcome in batch.failures]
+    result.iterations = sorted(batch.records.values(),
                                key=lambda r: r.get("index", 0))
     result.digest = corpus_digest(result.iterations)
 

@@ -12,8 +12,6 @@ workers/cache/retry machinery under job kind ``"multigpu"`` (see
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -93,9 +91,10 @@ class MGJob:
         }
 
     def key(self) -> str:
-        payload = json.dumps(self.record(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        # imported here: the campaign package is not needed to simulate
+        from repro.campaign.jobs import record_key
+
+        return record_key(self.record())
 
     @classmethod
     def from_record(cls, record: Dict[str, Any]) -> "MGJob":

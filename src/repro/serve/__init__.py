@@ -1,9 +1,9 @@
 """repro.serve — async detection-as-a-service over HART traces.
 
 An asyncio HTTP service (stdlib only) that accepts recorded trace
-uploads, content-digests them, shards replay jobs across a persistent
-worker pool (reusing the campaign engine's spawn workers, timeout,
-retry, and crash isolation), replays each trace through any registered
+uploads, content-digests them, shards replay jobs across the campaign
+engine's persistent worker pool (its spawn workers, timeout, retry, and
+crash isolation), replays each trace through any registered
 detector backend, and serves canonical-JSON verdicts from a
 digest-keyed cache — repeat submissions never replay.
 
@@ -30,7 +30,6 @@ from repro.serve.scheduler import (
     Backpressure,
     RateLimited,
     Scheduler,
-    ShardedWorkerPool,
     TokenBucket,
 )
 from repro.serve.traces import TraceStore
@@ -51,7 +50,6 @@ __all__ = [
     "ServiceClient",
     "ServiceConfig",
     "ServiceError",
-    "ShardedWorkerPool",
     "TokenBucket",
     "TraceStore",
     "VerdictCache",

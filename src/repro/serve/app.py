@@ -18,7 +18,8 @@ Endpoints (see docs/SERVICE.md for the full reference):
 - ``GET /metrics``       plain-text counters (``name value`` lines).
 
 The service owns a :class:`TraceStore`, a :class:`VerdictCache`, and a
-:class:`Scheduler` over a :class:`ShardedWorkerPool`; all state lives
+:class:`Scheduler` over the campaign engine's :class:`WorkerPool`
+(``--workers 0`` runs replays in the pool's own thread); all state lives
 under one ``--store`` root, so restarting the service keeps every trace
 and verdict it ever computed.
 """
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from repro.campaign.pool import WorkerPool
 from repro.common.errors import TraceFormatError
 from repro.serve.backends import (
     BackendError,
@@ -46,12 +48,7 @@ from repro.serve.httpd import (
     error_response,
     json_response,
 )
-from repro.serve.scheduler import (
-    Backpressure,
-    RateLimited,
-    Scheduler,
-    ShardedWorkerPool,
-)
+from repro.serve.scheduler import Backpressure, RateLimited, Scheduler
 from repro.serve.traces import TraceStore
 from repro.serve.verdicts import VerdictCache
 
@@ -83,7 +80,7 @@ class Service:
         root = Path(config.store)
         self.traces = TraceStore(root / "traces")
         self.cache = VerdictCache(root / "verdicts")
-        self.pool = ShardedWorkerPool(
+        self.pool = WorkerPool(
             workers=config.workers, timeout=config.timeout,
             retries=config.retries)
         self.scheduler = Scheduler(

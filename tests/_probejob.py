@@ -2,9 +2,11 @@
 
 Registered under kind ``"probe"`` via the ``REPRO_JOB_EXECUTORS``
 environment variable so spawn workers (which import the executor table
-fresh) can resolve it. The record's ``behavior`` field selects:
+fresh) can resolve it (:func:`register_probe`). The record's
+``behavior`` field selects:
 
-- ``"ok"``     — return a small record echoing the payload;
+- ``"ok"``     — return a small record echoing the payload and the pid
+  of the process that ran it;
 - ``"error"``  — raise (exercises retry + terminal ERROR);
 - ``"crash"``  — kill the worker process outright (``os._exit``),
   exercising crash isolation and respawn;
@@ -14,8 +16,28 @@ fresh) can resolve it. The record's ``behavior`` field selects:
 import os
 import time
 
+from repro.campaign.jobs import JOB_EXECUTORS
+
 #: the value tests must put in REPRO_JOB_EXECUTORS
-EXECUTOR_SPEC = "probe=tests.serve._probejob:execute_probe_record"
+EXECUTOR_SPEC = "probe=tests._probejob:execute_probe_record"
+
+
+def register_probe(monkeypatch):
+    """Make the probe kind resolvable here and in spawn workers."""
+    monkeypatch.setenv("REPRO_JOB_EXECUTORS", EXECUTOR_SPEC)
+    monkeypatch.setitem(JOB_EXECUTORS, "probe",
+                        EXECUTOR_SPEC.split("=", 1)[1])
+
+
+class ProbeJob:
+    """A probe record in the shape ``WorkerPool.run`` takes."""
+
+    def __init__(self, behavior: str, payload: str = "",
+                 seconds: float = 0.0):
+        self._record = make_record(behavior, payload, seconds)
+
+    def record(self):
+        return self._record
 
 
 def make_record(behavior: str, payload: str = "", seconds: float = 0.0):
@@ -26,7 +48,8 @@ def make_record(behavior: str, payload: str = "", seconds: float = 0.0):
 def execute_probe_record(record):
     behavior = record.get("behavior")
     if behavior == "ok":
-        return {"ok": True, "echo": record.get("payload", "")}
+        return {"ok": True, "echo": record.get("payload", ""),
+                "pid": os.getpid()}
     if behavior == "error":
         raise RuntimeError(f"probe error: {record.get('payload', '')}")
     if behavior == "crash":

@@ -3,33 +3,30 @@ retry, and (spawn-mode) timeout kill and crash isolation."""
 
 import asyncio
 import concurrent.futures
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.campaign.jobs import JOB_EXECUTORS
-from repro.campaign.pool import CRASHED, ERROR, OK, TIMEOUT
-from repro.serve import scheduler as scheduler_mod
+from repro.campaign import pool as pool_mod
+from repro.campaign.pool import CRASHED, ERROR, OK, TIMEOUT, WorkerPool
 from repro.serve.scheduler import (
     Backpressure,
     RateLimited,
     Scheduler,
-    ShardedWorkerPool,
     TokenBucket,
 )
 from repro.serve.traces import TraceStore
 from repro.serve.verdicts import VerdictCache
 from repro.serve.worker import ReplayJob
-from tests.serve._probejob import EXECUTOR_SPEC, make_record
+from tests._probejob import make_record, register_probe
 
 
 @pytest.fixture(autouse=True)
 def _probe_kind(monkeypatch):
     """Make the probe job kind resolvable here and in spawn workers."""
-    monkeypatch.setenv("REPRO_JOB_EXECUTORS", EXECUTOR_SPEC)
-    monkeypatch.setitem(JOB_EXECUTORS, "probe",
-                        EXECUTOR_SPEC.split("=", 1)[1])
+    register_probe(monkeypatch)
 
 
 class TestTokenBucket:
@@ -55,10 +52,10 @@ class TestTokenBucket:
 
 
 class TestInlinePool:
-    """workers=0: thread executor with the same retry semantics."""
+    """workers=0: jobs run in the pool's own thread, same retry loop."""
 
     def _pool(self, **kw):
-        pool = ShardedWorkerPool(workers=0, **kw)
+        pool = WorkerPool(workers=0, **kw)
         pool.start()
         return pool
 
@@ -83,7 +80,7 @@ class TestInlinePool:
             pool.stop()
 
     def test_submit_after_stop_raises(self):
-        pool = ShardedWorkerPool(workers=1)
+        pool = WorkerPool(workers=1)
         pool.start()
         pool.stop()
         with pytest.raises(RuntimeError, match="stopped"):
@@ -95,13 +92,45 @@ class TestInlinePool:
         with pytest.raises(RuntimeError, match="stopped"):
             pool.submit("k", make_record("ok"), "00")
 
+    def test_concurrent_submitters_lose_no_count(self):
+        """stats and queue_depth change on the supervisor thread and on
+        every submitting thread; a lost update would leave them off."""
+        pool = self._pool(retries=1)
+        futures = []
+
+        def submit_many(tid):
+            for i in range(50):
+                behavior = "error" if i % 5 == 0 else "ok"
+                futures.append(pool.submit(f"{tid}-{i}",
+                                           make_record(behavior)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit_many, args=(t,))
+                       for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            outcomes = [f.result(30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+            pool.stop()
+        assert not any(t.is_alive() for t in threads)
+        assert len(outcomes) == 400
+        assert pool.stats["completed"] == 320
+        assert pool.stats["errors"] == 80
+        assert pool.stats["retries"] == 80
+        assert pool.queue_depth == 0
+
 
 @pytest.mark.slow
 class TestProcessPool:
     """workers>=1: real spawn processes, kill/respawn fault handling."""
 
     def test_crash_isolated_and_worker_respawned(self):
-        pool = ShardedWorkerPool(workers=1, retries=0, timeout=60.0)
+        pool = WorkerPool(workers=1, retries=0, timeout=60.0)
         pool.start()
         try:
             crash = pool.submit("kc", make_record("crash"), "00")
@@ -117,7 +146,7 @@ class TestProcessPool:
             pool.stop()
 
     def test_timeout_kills_and_reports(self):
-        pool = ShardedWorkerPool(workers=1, retries=0, timeout=0.5)
+        pool = WorkerPool(workers=1, retries=0, timeout=0.5)
         pool.start()
         try:
             out = pool.submit("kt", make_record("sleep", seconds=60.0),
@@ -128,7 +157,7 @@ class TestProcessPool:
             pool.stop()
 
     def test_shutdown_fails_pending_futures(self):
-        pool = ShardedWorkerPool(workers=1, retries=0, timeout=60.0)
+        pool = WorkerPool(workers=1, retries=0, timeout=60.0)
         pool.start()
         blocker = pool.submit("kb", make_record("sleep", seconds=60.0),
                               "00")
@@ -143,9 +172,10 @@ class TestProcessPool:
 class _StubWorker:
     """Stands in for a spawned worker that started fine."""
 
-    def __init__(self, ctx, worker_id, result_q):
+    def __init__(self, ctx, worker_id):
         self.worker_id = worker_id
         self.current = None
+        self.busy_seconds = 0.0
         self.stopped = False
 
     def stop(self):
@@ -158,14 +188,14 @@ class TestSpawnFailure:
     def test_queued_job_settles_and_spawned_workers_stop(self, monkeypatch):
         spawned = []
 
-        def spawn(ctx, worker_id, result_q):
+        def spawn(ctx, worker_id):
             if spawned:
                 raise OSError("cannot spawn")
-            spawned.append(_StubWorker(ctx, worker_id, result_q))
+            spawned.append(_StubWorker(ctx, worker_id))
             return spawned[-1]
 
-        monkeypatch.setattr(scheduler_mod, "SpawnWorker", spawn)
-        pool = ShardedWorkerPool(workers=2, retries=0)
+        monkeypatch.setattr(pool_mod, "SpawnWorker", spawn)
+        pool = WorkerPool(workers=2, retries=0)
         queued = pool.submit("kq", make_record("ok"), "00")
         pool.start()
         try:
@@ -181,12 +211,12 @@ class TestSpawnFailure:
     def test_scheduler_job_leaves_running(self, monkeypatch, tmp_path):
         submitted = threading.Event()
 
-        def spawn(ctx, worker_id, result_q):
+        def spawn(ctx, worker_id):
             submitted.wait(10)
             raise OSError("cannot spawn")
 
-        monkeypatch.setattr(scheduler_mod, "SpawnWorker", spawn)
-        pool = ShardedWorkerPool(workers=1, retries=0)
+        monkeypatch.setattr(pool_mod, "SpawnWorker", spawn)
+        pool = WorkerPool(workers=1, retries=0)
         sched, _, _ = _scheduler(tmp_path, pool=pool, rate=10_000.0,
                                  burst=10_000.0)
 
@@ -221,7 +251,7 @@ def _replay_job(tmp_path, tag="a", backend="oracle"):
 
 
 def _scheduler(tmp_path, pool=None, **kw):
-    pool = pool or ShardedWorkerPool(workers=0)
+    pool = pool or WorkerPool(workers=0)
     cache = VerdictCache(tmp_path / "verdicts")
     return Scheduler(pool, cache, **kw), pool, cache
 
@@ -249,7 +279,7 @@ class TestSchedulerPolicy:
         assert sched.metrics["rejected_rate_limit"] == 1
 
     def test_backpressure_past_high_water(self, tmp_path):
-        pool = ShardedWorkerPool(workers=0)
+        pool = WorkerPool(workers=0)
         sched, _, _ = _scheduler(tmp_path, pool=pool, high_water=1,
                                  rate=10_000.0, burst=10_000.0)
 
@@ -273,7 +303,7 @@ class TestSchedulerPolicy:
 
     def test_identical_submissions_coalesce(self, tmp_path):
         """Concurrent identical jobs share one in-flight replay."""
-        pool = ShardedWorkerPool(workers=0)
+        pool = WorkerPool(workers=0)
         sched, _, _ = _scheduler(tmp_path, pool=pool, rate=10_000.0,
                                  burst=10_000.0)
         job = _replay_job(tmp_path)
@@ -299,7 +329,7 @@ class TestSchedulerPolicy:
         assert sched.metrics["replays"] == 0
 
     def test_cache_hit_skips_pool(self, tmp_path):
-        pool = ShardedWorkerPool(workers=0)
+        pool = WorkerPool(workers=0)
         sched, _, cache = _scheduler(tmp_path, pool=pool, rate=10_000.0,
                                      burst=10_000.0)
         job = _replay_job(tmp_path)

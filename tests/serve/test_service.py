@@ -262,7 +262,7 @@ class TestPolicy:
             receipt = client.upload(trace_bytes)
             # hold the measured queue depth above the high-water mark
             pool = srv.service.pool
-            with pool._depth_lock:
+            with pool._lock:
                 pool._depth += 5
             try:
                 with pytest.raises(ServiceError) as exc_info:
@@ -271,7 +271,7 @@ class TestPolicy:
                 assert exc_info.value.status == 429
                 assert exc_info.value.payload["error"] == "backpressure"
             finally:
-                with pool._depth_lock:
+                with pool._lock:
                     pool._depth -= 5
             # pressure released: the same submission is accepted and
             # settles; nothing was lost or wedged

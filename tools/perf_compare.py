@@ -26,8 +26,11 @@ per-layer metrics in seconds or counts are divided by the run's rounds,
 since the two sides can fit different round counts in ``--seconds``;
 end-to-end metrics are judged as perfbench reports them (``setup_s`` is
 a one-off cost, not a total over rounds). A count metric is compared
-exactly (see ``judge_count``): it ``differs`` when two runs of the same
-round count give different totals. Every other metric gets each side's
+exactly (see ``judge_count``): it ``varies`` when two runs of the same
+round count on one side give different totals (the count depends on
+timing, so no pair can show a change), and ``differs`` when each side
+agrees with itself but a run of the base and one of the change at the
+same round count do not. Every other metric gets each side's
 median and IQR, "better in n/K pairs" (ties count for neither side),
 the median shift against the base's IQR, and the two-sided
 Mann-Whitney U p. It is flagged
@@ -193,18 +196,26 @@ def judge_count(base: Sequence[Tuple[int, float]],
                 change: Sequence[Tuple[int, float]]) -> Dict[str, Any]:
     """Compare (rounds, total) samples of one count metric exactly.
 
-    Runs of the same round count must give the same total, on either
-    side. Beyond that the sides are ``equal`` when they share a round
-    count, or when every total (a count that does not grow with rounds)
-    or every total per round is the same. A count that varies from
-    round to round, on sides with no round count in common, cannot be
-    compared exactly: ``unresolved``.
+    Runs of the same round count should give the same total. When they
+    do not on one side, the count depends on timing (polls, coalesced
+    submissions) and cannot be compared exactly: ``varies``. When each
+    side agrees with itself and the two sides disagree at a round count:
+    ``differs``. Beyond that the sides are ``equal`` when they share a
+    round count, or when every total (a count that does not grow with
+    rounds) or every total per round is the same. A count that varies
+    from round to round, on sides with no round count in common, cannot
+    be compared exactly: ``unresolved``.
     """
+    def disagree(samples: Sequence[Tuple[int, float]]) -> bool:
+        totals: Dict[int, set] = {}
+        for rounds, total in samples:
+            totals.setdefault(rounds, set()).add(total)
+        return any(len(s) > 1 for s in totals.values())
+
     both = (*base, *change)
-    totals: Dict[int, set] = {}
-    for rounds, total in both:
-        totals.setdefault(rounds, set()).add(total)
-    if any(len(s) > 1 for s in totals.values()):
+    if disagree(base) or disagree(change):
+        verdict = "varies"
+    elif disagree(both):
         verdict = "differs"
     elif ({r for r, _ in base} & {r for r, _ in change}
           or len({t for _, t in both}) == 1

@@ -353,6 +353,7 @@ class WorkerPool:
             for wid in range(n):
                 workers.append(SpawnWorker(ctx, wid) if self.workers
                                else InlineWorker())
+            # a batch ends when its jobs settle, the service at stop()
             while owed if batch else not self._stop.is_set():
                 # 1. intake: wait on it only while there is nothing to run
                 busy = [w for w in workers if w.current is not None]

@@ -3,13 +3,14 @@
 Workers are persistent ``spawn`` processes (spawn is fork-safe on every
 platform and never inherits simulator state); each receives one job at a
 time and reports its result on a pipe of its own, so a worker that dies
-mid-write cannot wedge the others. One supervisor loop (:meth:`WorkerPool._supervise`) takes jobs in,
-dispatches them to idle workers and drains their results. It kills a
-worker whose job overran the per-job wall-clock timeout, treats a worker
-that died (segfault, ``os._exit``, OOM-kill) as a failed job, respawns
-both, and retries failed attempts a bounded number of times. A worker
-that cannot spawn fails the pool's jobs, never its caller. One bad job
-never stops the rest.
+mid-write cannot wedge the others. One supervisor loop
+(:meth:`WorkerPool._supervise`) takes jobs in, dispatches them to idle
+workers and drains their results. It kills a worker whose job overran
+the per-job wall-clock timeout, treats a worker that died (segfault,
+``os._exit``, OOM-kill) as a failed job, respawns both, and retries
+failed attempts a bounded number of times. A worker that cannot spawn
+(or respawn) fails the pool's jobs, never its caller. One bad job never
+stops the rest.
 
 The loop is driven two ways:
 
@@ -395,14 +396,18 @@ class WorkerPool:
                 for worker, result in done:
                     if result is None:
                         continue
-                    task = worker.finish()
                     if replace:
+                        # spawn before finish(): if the spawn raises, the
+                        # task is still the dead worker's current job, so
+                        # the leftovers below settle it
                         worker.stop(graceful=False)
-                        spawned = SpawnWorker(ctx, worker.worker_id)
-                        spawned.busy_seconds = worker.busy_seconds
-                        workers[worker.worker_id] = spawned
+                        workers[worker.worker_id] = SpawnWorker(
+                            ctx, worker.worker_id)
                         with self._lock:
                             self.stats["respawns"] += 1
+                    task = worker.finish()
+                    workers[worker.worker_id].busy_seconds = \
+                        worker.busy_seconds
                     outcome = settle(task, result)
                     if outcome is not None:
                         owed -= 1
@@ -431,6 +436,8 @@ class WorkerPool:
         with self._lock:
             self._depth -= 1
             self.stats[_STAT[outcome.status]] += 1
-        if task.future is not None:
+        # a caller may have cancelled the future; that must not fail the pool
+        if (task.future is not None
+                and task.future.set_running_or_notify_cancel()):
             task.future.set_result(outcome)
         return outcome

@@ -163,6 +163,33 @@ class TestProbes:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.slow
+    def test_respawn_failure_settles_the_retried_job(self, monkeypatch):
+        spawns = []
+
+        def spawn(ctx, worker_id):
+            spawns.append(worker_id)
+            if len(spawns) > 2:
+                raise OSError("cannot respawn")
+            return real_spawn(ctx, worker_id)
+
+        real_spawn = pool_mod.SpawnWorker
+        monkeypatch.setattr(pool_mod, "SpawnWorker", spawn)
+        jobs = {"crash": ProbeJob("crash")}
+        jobs.update((f"sleep{i}", ProbeJob("sleep", seconds=30.0))
+                    for i in range(3))
+        settled = []
+        pool = WorkerPool(workers=2, retries=1, timeout=60.0)
+        outcomes = pool.run(jobs, on_outcome=settled.append)
+        assert sorted(outcomes) == sorted(jobs)
+        assert len(settled) == 4
+        for out in outcomes.values():
+            assert out.status == ERROR
+            assert out.error.startswith("worker pool failed: OSError")
+        assert outcomes["crash"].attempts == 1
+        assert pool.queue_depth == 0
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.slow
     def test_interrupt_leaves_unfinished_jobs_without_outcome(self):
         seen = []
 

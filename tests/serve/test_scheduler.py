@@ -79,6 +79,18 @@ class TestInlinePool:
         finally:
             pool.stop()
 
+    def test_cancelled_future_does_not_fail_the_pool(self):
+        pool = self._pool()
+        try:
+            slow = pool.submit("a", make_record("sleep", seconds=0.3), "00")
+            pool.submit("b", make_record("ok"), "00").cancel()
+            assert slow.result(30).status == OK
+            out = pool.submit("c", make_record("ok"), "00").result(30)
+            assert out.status == OK
+            assert pool.stats["completed"] == 3 and pool.queue_depth == 0
+        finally:
+            pool.stop()
+
     def test_submit_after_stop_raises(self):
         pool = WorkerPool(workers=1)
         pool.start()

@@ -12,7 +12,10 @@ Three entry points:
 - :func:`run_cached` serves a batch of any job kind from an optional
   store and runs the misses on the pool (the fuzz and analyzer drivers).
 
-Both pool drivers run jobs in-process at ``workers <= 1``.
+Both pool drivers run jobs in-process at ``workers <= 1``, unless a
+per-job timeout is given: only a separate process can be stopped when
+its job overruns, so a timeout at ``workers <= 1`` runs one spawned
+worker.
 """
 
 from __future__ import annotations
@@ -113,9 +116,11 @@ def session(store: ResultStore, read_only: bool = False):
 
 def _pool(workers: int, timeout: Optional[float],
           retries: int = 1) -> WorkerPool:
-    """The pool for a CLI's ``--workers``: one worker runs in-process."""
-    return WorkerPool(workers=workers if workers > 1 else 0,
-                      timeout=timeout, retries=retries)
+    """The pool for a CLI's ``--workers``: one worker runs in-process,
+    unless a timeout needs a process it can kill."""
+    if workers <= 1:
+        workers = 1 if timeout else 0
+    return WorkerPool(workers=workers, timeout=timeout, retries=retries)
 
 
 @dataclass

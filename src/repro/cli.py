@@ -501,37 +501,37 @@ def _cmd_submit(args) -> int:
     if args.program is not None:
         program = json.loads(Path(args.program).read_text(encoding="utf-8"))
 
-    client = ServiceClient(args.server, client_id=args.client)
-    try:
-        receipt = client.upload(args.trace)
-    except (ServiceError, ConnectionError, OSError) as exc:
-        print(f"error: upload failed: {exc}", file=sys.stderr)
-        return 1
-    if not args.json:
-        print(f"uploaded {args.trace}: trace {receipt['digest'][:16]}... "
-              f"({receipt['events']} events, {receipt['bytes']} bytes)")
-    failures = 0
-    for backend in args.backend:
+    with ServiceClient(args.server, client_id=args.client) as client:
         try:
-            state = client.submit(receipt["digest"], backend,
-                                  program=program)
-            if state["status"] not in ("done", "error", "timeout",
-                                       "crashed"):
-                state = client.wait(state["job"], timeout=args.timeout)
-            verdict_body = client.verdict_bytes(state["verdict"])
-            if args.json:
-                sys.stdout.write(verdict_body.decode("utf-8") + "\n")
-            else:
-                verdict = json.loads(verdict_body)
-                result = verdict["result"]
-                races = result.get("distinct", result.get("count"))
-                cached = " (cached)" if state.get("cached") else ""
-                print(f"{backend}: {races} distinct races, verdict "
-                      f"{state['verdict'][:16]}...{cached}")
-        except (ServiceError, JobFailed, TimeoutError) as exc:
-            failures += 1
-            print(f"error: {backend}: {exc}", file=sys.stderr)
-    return 1 if failures else 0
+            receipt = client.upload(args.trace)
+        except (ServiceError, ConnectionError, OSError) as exc:
+            print(f"error: upload failed: {exc}", file=sys.stderr)
+            return 1
+        if not args.json:
+            print(f"uploaded {args.trace}: trace {receipt['digest'][:16]}... "
+                  f"({receipt['events']} events, {receipt['bytes']} bytes)")
+        failures = 0
+        for backend in args.backend:
+            try:
+                state = client.submit(receipt["digest"], backend,
+                                      program=program)
+                if state["status"] not in ("done", "error", "timeout",
+                                           "crashed"):
+                    state = client.wait(state["job"], timeout=args.timeout)
+                verdict_body = client.verdict_bytes(state["verdict"])
+                if args.json:
+                    sys.stdout.write(verdict_body.decode("utf-8") + "\n")
+                else:
+                    verdict = json.loads(verdict_body)
+                    result = verdict["result"]
+                    races = result.get("distinct", result.get("count"))
+                    cached = " (cached)" if state.get("cached") else ""
+                    print(f"{backend}: {races} distinct races, verdict "
+                          f"{state['verdict'][:16]}...{cached}")
+            except (ServiceError, JobFailed, TimeoutError) as exc:
+                failures += 1
+                print(f"error: {backend}: {exc}", file=sys.stderr)
+        return 1 if failures else 0
 
 
 def _cmd_analyze_mg(args) -> int:
@@ -747,7 +747,8 @@ def build_parser() -> argparse.ArgumentParser:
     crun_p.add_argument("--scale", type=float, default=1.0)
     crun_p.add_argument("--workers", type=int, default=1)
     crun_p.add_argument("--timeout", type=float, default=None,
-                        help="per-job timeout in seconds")
+                        help="per-job timeout in seconds (runs at least "
+                             "one worker process)")
     crun_p.add_argument("--retries", type=int, default=1,
                         help="retries per failed job")
     crun_p.add_argument("--retry-failed", action="store_true",
@@ -840,8 +841,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--minimize", action="store_true",
                         help="delta-debug real-bug reproducers")
     fuzz_p.add_argument("--timeout", type=float, default=None,
-                        help="per-iteration timeout (seconds, parallel "
-                             "runs only)")
+                        help="per-iteration timeout in seconds (runs "
+                             "at least one worker process)")
     fuzz_p.add_argument("--static-prefilter", action="store_true",
                         help="skip the simulator for programs the static "
                              "analyzer proves race-free (see "
@@ -876,8 +877,8 @@ def build_parser() -> argparse.ArgumentParser:
     an_p.add_argument("--cache", default=None, metavar="DIR",
                       help="campaign result store for resumable runs")
     an_p.add_argument("--timeout", type=float, default=None,
-                      help="per-program timeout (seconds, parallel runs "
-                           "only)")
+                      help="per-program timeout in seconds (runs at "
+                           "least one worker process)")
     an_p.add_argument("--json", action="store_true",
                       help="print the full summary as JSON")
     an_p.set_defaults(fn=_cmd_analyze)

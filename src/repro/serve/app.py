@@ -9,7 +9,9 @@ Endpoints (see docs/SERVICE.md for the full reference):
   (plus ``"program"`` for the static backend); 200 with a done state on
   a verdict-cache hit, 202 queued otherwise, 429 + Retry-After under
   backpressure or rate limiting.
-- ``GET /jobs/{id}``     poll a job's lifecycle state.
+- ``GET /jobs/{id}``     a job's lifecycle state; ``?wait=S`` holds the
+  request until the job settles or S seconds (clamped to
+  ``MAX_WAIT_S``) pass.
 - ``GET /verdicts/{key}`` the canonical verdict bytes — byte-identical
   to ``repro trace replay --backend <name> --json`` on the same trace.
 - ``GET /traces/{digest}`` upload receipt for a stored trace.
@@ -54,6 +56,8 @@ from repro.serve.verdicts import VerdictCache
 
 SERVICE_NAME = "repro-serve"
 SERVICE_VERSION = 1
+#: the longest a ``GET /jobs/{id}?wait=S`` is held
+MAX_WAIT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ class Service:
                     {"backends": [get_backend(n).describe()
                                   for n in backend_names()]})
             if len(parts) == 2 and parts[0] == "jobs":
-                return self._get_job(parts[1])
+                return await self._get_job(parts[1], request.query)
             if len(parts) == 2 and parts[0] == "verdicts":
                 return self._get_verdict(parts[1])
             if len(parts) == 2 and parts[0] == "traces":
@@ -198,12 +202,29 @@ class Service:
         status = 200 if state.cached else 202
         return json_response(state.describe(), status=status)
 
-    def _get_job(self, job_id: str) -> Response:
+    async def _get_job(self, job_id: str,
+                       query: Dict[str, str]) -> Response:
         try:
             state = self.scheduler.job(job_id)
         except KeyError:
             return error_response(404, "unknown-job",
                                   f"no job {job_id!r}")
+        if "wait" in query:
+            try:
+                hold = float(query["wait"])
+                if not hold >= 0.0:            # negative or NaN
+                    raise ValueError
+            except ValueError:
+                return error_response(
+                    400, "bad-wait",
+                    f"wait must be a non-negative number of seconds, "
+                    f"not {query['wait']!r}")
+            if not state.settled.is_set():
+                try:
+                    await asyncio.wait_for(state.settled.wait(),
+                                           min(hold, MAX_WAIT_S))
+                except asyncio.TimeoutError:
+                    pass
         return json_response(state.describe())
 
     def _get_verdict(self, key: str) -> Response:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -56,6 +57,11 @@ def canonical_json(obj: Any) -> str:
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+#: what :func:`sha256_hex` returns: the only names the stores look up,
+#: so a name from a URL never reaches the file system unchecked
+DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 def trace_digest(events: Sequence) -> str:

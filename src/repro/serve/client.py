@@ -4,12 +4,20 @@ Drives the full upload → job → verdict lifecycle; ``repro submit`` and
 the integration tests are thin wrappers over this. 429 responses are
 retried with the server-supplied Retry-After (bounded), so a polite
 client rides out backpressure instead of failing.
+
+A cached verdict costs as little HTTP as the protocol allows: one
+keep-alive connection carries every request, :meth:`ServiceClient.upload`
+asks for the trace by digest before it sends the body, and
+:meth:`ServiceClient.wait` long-polls ``GET /jobs/{id}?wait=S`` so a
+replayed job settles in one wait request.
 """
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import json
+import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
@@ -42,7 +50,12 @@ class JobFailed(ReproError):
 
 
 class ServiceClient:
-    """One service endpoint; safe to use from multiple threads serially."""
+    """One service endpoint over one keep-alive connection.
+
+    Safe to use from multiple threads serially: requests hold a lock.
+    Call :meth:`close` (or use the client as a context manager) to drop
+    the connection.
+    """
 
     def __init__(self, base_url: str, client_id: Optional[str] = None,
                  timeout: float = 60.0, max_429_retries: int = 20) -> None:
@@ -54,6 +67,20 @@ class ServiceClient:
         self.client_id = client_id
         self.timeout = timeout
         self.max_429_retries = max_429_retries
+        self._conn: Optional[http.client.HTTPConnection] = None
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the keep-alive connection; the next request reopens it."""
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- wire ----------------------------------------------------------
 
@@ -77,19 +104,44 @@ class ServiceClient:
     def _request_once(self, method: str, path: str,
                       body: Optional[bytes]) -> Tuple[int, Dict[str, str],
                                                       bytes]:
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
         headers = {}
         if self.client_id:
             headers["X-Client"] = self.client_id
+        with self._lock:
+            reused = self._conn is not None
+            try:
+                resp = self._send(method, path, body, headers)
+            except (ConnectionResetError, BrokenPipeError):
+                # RemoteDisconnected is a ConnectionResetError. A reused
+                # connection the server closed while it sat idle gets
+                # no response at all, so the request was never handled:
+                # send it once more on a fresh connection (_send has
+                # dropped the dead one).
+                if not reused:
+                    raise
+                resp = self._send(method, path, body, headers)
+            try:
+                payload = resp.read()
+            except BaseException:
+                self.close()
+                raise
+            if resp.will_close:
+                self.close()
+        return (resp.status,
+                {k.lower(): v for k, v in resp.getheaders()}, payload)
+
+    def _send(self, method: str, path: str, body: Optional[bytes],
+              headers: Dict[str, str]) -> http.client.HTTPResponse:
+        """Send one request on the kept connection; return its response."""
+        if self._conn is None:
+            self._conn = http.client.HTTPConnection(self.host, self.port,
+                                                    timeout=self.timeout)
         try:
-            conn.request(method, path, body=body, headers=headers)
-            resp = conn.getresponse()
-            payload = resp.read()
-            return (resp.status,
-                    {k.lower(): v for k, v in resp.getheaders()}, payload)
-        finally:
-            conn.close()
+            self._conn.request(method, path, body=body, headers=headers)
+            return self._conn.getresponse()
+        except BaseException:
+            self.close()
+            raise
 
     def _json(self, method: str, path: str, body: Optional[bytes] = None,
               retry_429: bool = False) -> Dict[str, Any]:
@@ -123,9 +175,19 @@ class ServiceClient:
         return self._json("GET", "/backends")
 
     def upload(self, trace: Union[bytes, str, Path]) -> Dict[str, Any]:
-        """Upload trace bytes or a trace file; returns the receipt."""
+        """Upload trace bytes or a trace file; returns the receipt.
+
+        Asks for the bytes' SHA-256 first: a trace the store already
+        holds byte for byte costs one small GET and no body. A 404
+        (a new trace, or a non-canonical form such as JSON-lines) sends
+        the body with ``POST /traces``.
+        """
         data = trace if isinstance(trace, bytes) \
             else Path(trace).read_bytes()
+        status, _, payload = self.request(
+            "GET", f"/traces/{hashlib.sha256(data).hexdigest()}")
+        if status == 200:
+            return json.loads(payload.decode("utf-8"))
         return self._json("POST", "/traces", body=data)
 
     def submit(self, trace_digest: str, backend: str,
@@ -144,19 +206,29 @@ class ServiceClient:
 
     def wait(self, job_id: str, timeout: float = 300.0,
              poll: float = 0.02) -> Dict[str, Any]:
-        """Poll until the job settles; raises JobFailed on failure."""
+        """Long-poll until the job settles; raises JobFailed on failure.
+
+        Each ``GET /jobs/{id}?wait=S`` is held by the server until the
+        job settles or S seconds pass, with S kept below this client's
+        socket timeout. ``poll`` is the least time between two requests:
+        it spaces the next request only when a hold came back early and
+        unsettled (a server that clamps or ignores ``?wait=``).
+        """
         deadline = time.monotonic() + timeout
         while True:
-            state = self.job(job_id)
+            sent = time.monotonic()
+            hold = max(0.0, min(deadline - sent, self.timeout / 2))
+            state = self._json("GET", f"/jobs/{job_id}?wait={hold:.3f}")
             if state.get("status") in _TERMINAL:
                 if state["status"] != "done":
                     raise JobFailed(state)
                 return state
-            if time.monotonic() > deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {state.get('status')} after "
                     f"{timeout:.0f}s")
-            time.sleep(poll)
+            time.sleep(max(0.0, min(sent + poll, deadline) - now))
 
     def verdict_bytes(self, key: str) -> bytes:
         status, _, payload = self.request("GET", f"/verdicts/{key}")

@@ -16,7 +16,9 @@ same upload concurrently.
   coalesces concurrent identical submissions onto one in-flight replay,
   applies backpressure past a high-water mark of queued work (429, the
   job is *rejected*, never silently dropped), and tracks every accepted
-  job's lifecycle for ``GET /jobs/{id}``.
+  job's lifecycle for ``GET /jobs/{id}``. Each state carries a
+  ``settled`` event, set when its replay finishes, that a long-poll
+  ``GET /jobs/{id}?wait=S`` awaits.
 """
 
 from __future__ import annotations
@@ -92,6 +94,9 @@ class JobState:
     elapsed: float = 0.0
     created: float = field(default_factory=time.time)
     finished: Optional[float] = None
+    #: set once the job leaves queued/running (long-poll waiters)
+    settled: asyncio.Event = field(default_factory=asyncio.Event,
+                                   repr=False, compare=False)
 
     def describe(self) -> Dict[str, Any]:
         out = {
@@ -186,11 +191,12 @@ class Scheduler:
                          backend=job.backend)
 
         # cache hit: served without touching the pool
-        if self.cache.get_by_key(key) is not None:
+        if self.cache.get_bytes(key) is not None:
             self.metrics["cache_hits"] += 1
             state.status = DONE
             state.cached = True
             state.finished = time.time()
+            state.settled.set()
             self._jobs[state.id] = state
             self._prune_jobs()
             return state
@@ -245,6 +251,7 @@ class Scheduler:
             state.error = outcome.error
             state.elapsed = outcome.elapsed
             state.finished = now
+            state.settled.set()
         self._prune_jobs()
 
     # ------------------------------------------------------------------

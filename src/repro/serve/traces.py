@@ -28,7 +28,7 @@ from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.common.fsutil import atomic_write
 from repro.harness.trace import TraceEvent, dump_binary, parse_trace
-from repro.serve.backends import sha256_hex
+from repro.serve.backends import DIGEST, sha256_hex
 
 
 class TraceStore:
@@ -88,21 +88,27 @@ class TraceStore:
         return parse_trace(path.read_bytes())
 
     def meta(self, digest: str) -> Dict[str, Any]:
-        """The upload receipt for one stored trace; KeyError if absent."""
-        meta_path = self._meta_path(digest)
-        if meta_path.exists():
-            try:
-                loaded = json.loads(meta_path.read_text(encoding="utf-8"))
-                if loaded.get("digest") == digest:
-                    return loaded
-            except (ValueError, OSError):
-                pass
+        """The upload receipt for one stored trace; KeyError if absent.
+
+        A missing or bad ``.meta.json`` sidecar is rebuilt from the
+        stored trace and written back, so each trace parses at most
+        once here.
+        """
         path = self.path_for(digest)
-        if not path.exists():
+        if not DIGEST.fullmatch(digest) or not path.exists():
             raise KeyError(digest)
+        meta_path = self._meta_path(digest)
+        try:
+            loaded = json.loads(meta_path.read_text(encoding="utf-8"))
+            if isinstance(loaded, dict) and loaded.get("digest") == digest:
+                return loaded
+        except (ValueError, OSError):
+            pass
         data = path.read_bytes()
-        return {"digest": digest, "events": len(parse_trace(data)),
+        meta = {"digest": digest, "events": len(parse_trace(data)),
                 "bytes": len(data)}
+        atomic_write(meta_path, json.dumps(meta, sort_keys=True))
+        return meta
 
     # ------------------------------------------------------------------
 

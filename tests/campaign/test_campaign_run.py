@@ -153,6 +153,25 @@ class TestCLI:
         assert rc == 0
         assert "failed: 0" in out
 
+    @pytest.mark.slow
+    def test_timeout_enforced_with_one_worker(self, tmp_path, capsys):
+        """``--workers 1 --timeout`` runs a worker process it can kill,
+        so every cell overruns and fails, as at ``--workers 2``."""
+        import multiprocessing
+
+        cache = str(tmp_path / "cache")
+        rc = main(["campaign", "run", "smoke", "--cache", cache,
+                   "--workers", "1", "--timeout", "0.01", "--retries", "0",
+                   "--quiet"])
+        capsys.readouterr()
+        assert rc == 1
+        rc = main(["campaign", "status", "smoke", "--cache", cache])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "failed: 4" in out
+        assert out.count("timeout:") == 4
+        assert multiprocessing.active_children() == []
+
     def test_status_reports_failure_nonzero(self, tmp_path, capsys):
         # graft a failed cell into the smoke state: status must surface it
         from repro.campaign.queue import CampaignState

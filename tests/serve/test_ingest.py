@@ -5,6 +5,8 @@ parse; a replay worker checks the stored bytes' digest before it parses
 them, so a corrupted entry fails its job and caches no verdict.
 """
 
+import json
+
 import pytest
 
 from repro.common.errors import TraceFormatError
@@ -70,6 +72,35 @@ class TestRepeatUpload:
         assert first == {"digest": trace_digest(events),
                          "events": len(events), "bytes": len(trace_bytes)}
 
+    @pytest.mark.parametrize("sidecar", [None, b"{not json",
+                                         b'{"digest": "other"}'])
+    def test_missing_or_bad_sidecar_is_rebuilt_once(
+            self, tmp_path, trace_bytes, parses, sidecar):
+        store = TraceStore(tmp_path)
+        first = store.put_bytes(trace_bytes)
+        meta_path = store._meta_path(first["digest"])
+        if sidecar is None:
+            meta_path.unlink()
+        else:
+            meta_path.write_bytes(sidecar)
+        assert store.meta(first["digest"]) == first
+        assert store.meta(first["digest"]) == first
+        assert len(parses) == 2          # the upload, then one rebuild
+        assert json.loads(meta_path.read_text()) == first
+
+    def test_meta_of_an_absent_trace_is_a_key_error(self, tmp_path,
+                                                    trace_bytes):
+        store = TraceStore(tmp_path / "store")
+        digest = store.put_bytes(trace_bytes)["digest"]
+        store.path_for(digest).unlink()
+        with pytest.raises(KeyError):
+            store.meta(digest)
+        # a name that is no digest never reaches the file system
+        (tmp_path / "..x.hart").write_bytes(trace_bytes)
+        with pytest.raises(KeyError):
+            store.meta("..x")
+        assert not (tmp_path / "..x.meta.json").exists()
+
 
 def _flip_one_byte(path):
     data = bytearray(path.read_bytes())
@@ -95,8 +126,8 @@ class TestCorruptedEntry:
         config = ServiceConfig(port=0, store=str(tmp_path / "store"),
                                workers=0, retries=0, rate=10_000.0,
                                burst=10_000.0)
-        with ServerThread(config) as srv:
-            client = ServiceClient(srv.url)
+        with ServerThread(config) as srv, \
+                ServiceClient(srv.url) as client:
             digest = client.upload(trace_bytes)["digest"]
             _flip_one_byte(srv.service.traces.path_for(digest))
             state = client.submit(digest, "haccrg-word")
@@ -158,15 +189,18 @@ class TestParsedReuse:
 
 
 def test_metrics_count_known_uploads(tmp_path, events, trace_bytes):
+    """The server answers a byte-identical POST from the store. Raw
+    POSTs, as curl sends them: ``ServiceClient.upload`` asks by digest
+    first and would not send the repeats at all."""
     config = ServiceConfig(port=0, store=str(tmp_path / "store"),
                            workers=0, rate=10_000.0, burst=10_000.0)
-    with ServerThread(config) as srv:
-        client = ServiceClient(srv.url)
-        client.upload(trace_bytes)
+    as_json = "\n".join(e.to_json() for e in events).encode()
+    with ServerThread(config) as srv, \
+            ServiceClient(srv.url) as client:
+        assert client.request("POST", "/traces", trace_bytes)[0] == 201
         assert client.metrics()["serve_uploads_known"] == 0
-        client.upload(trace_bytes)
-        client.upload(trace_bytes)
-        client.upload("\n".join(e.to_json() for e in events).encode())
+        for body in (trace_bytes, trace_bytes, as_json):
+            assert client.request("POST", "/traces", body)[0] == 201
         counts = client.metrics()
         assert counts["serve_uploads_known"] == 2
         assert counts["serve_uploads"] == 4

@@ -396,3 +396,44 @@ class TestTraceStore:
         with pytest.raises(TraceFormatError):
             store.put_bytes(b"\xff\xfe not a trace")
         assert len(store) == 0
+
+
+class TestVerdictCache:
+    def test_a_verdict_is_decoded_once(self, tmp_path, monkeypatch):
+        from repro.serve import verdicts as verdicts_mod
+
+        cache = VerdictCache(tmp_path / "verdicts")
+        job = _replay_job(tmp_path)
+        cache.put(job, {"schema": 1, "races": [3, 1]})
+        loads = []
+        real = verdicts_mod.json.load
+        monkeypatch.setattr(verdicts_mod.json, "load",
+                            lambda fh: loads.append(1) or real(fh))
+        body = cache.get_bytes(job.key())
+        assert body == b'{"races":[3,1],"schema":1}'
+        assert cache.get_bytes(job.key()) is body
+        assert len(loads) == 1
+        assert cache.stats()["hits"] == 2
+
+    def test_a_changed_entry_is_read_again_and_a_corrupt_one_evicted(
+            self, tmp_path):
+        cache = VerdictCache(tmp_path / "verdicts")
+        job = _replay_job(tmp_path)
+        cache.put(job, {"schema": 1, "v": 1})
+        assert cache.get_bytes(job.key()) == b'{"schema":1,"v":1}'
+        cache.put(job, {"schema": 1, "v": 22})
+        assert cache.get_bytes(job.key()) == b'{"schema":1,"v":22}'
+        path = cache.store.path_for(job.key())
+        path.write_text(path.read_text()[:-9], encoding="utf-8")
+        assert cache.get_bytes(job.key()) is None
+        assert not path.exists()
+        assert cache.stats()["evictions"] == 1
+        assert cache.get_bytes(job.key()) is None
+
+    def test_a_name_that_is_no_digest_is_a_miss(self, tmp_path):
+        cache = VerdictCache(tmp_path / "verdicts")
+        outside = tmp_path / "..x.json"
+        outside.write_text("{}", encoding="utf-8")
+        assert cache.get_bytes("..x") is None
+        assert outside.exists()             # looked up nowhere, not evicted
+        assert cache.stats()["evictions"] == 0

@@ -36,7 +36,8 @@ def server(tmp_path_factory):
 
 @pytest.fixture()
 def client(server):
-    return ServiceClient(server.url, client_id="pytest")
+    with ServiceClient(server.url, client_id="pytest") as c:
+        yield c
 
 
 class TestLifecycle:
@@ -94,8 +95,8 @@ class TestLifecycle:
 
         config = ServiceConfig(port=0, store=server.config.store,
                                workers=0, rate=10_000.0, burst=10_000.0)
-        with ServerThread(config) as second_srv:
-            fresh = ServiceClient(second_srv.url)
+        with ServerThread(config) as second_srv, \
+                ServiceClient(second_srv.url) as fresh:
             again = fresh.submit(receipt["digest"], "haccrg-word")
             assert again["status"] == "done" and again["cached"]
             assert fresh.verdict_bytes(again["verdict"]) == body
@@ -193,18 +194,18 @@ class TestCoalescing:
         """N clients racing on one (trace, backend) produce one replay."""
         config = ServiceConfig(port=0, store=str(tmp_path / "store"),
                                workers=0, rate=10_000.0, burst=10_000.0)
-        with ServerThread(config) as srv:
-            client = ServiceClient(srv.url)
+        with ServerThread(config) as srv, \
+                ServiceClient(srv.url) as client:
             receipt = client.upload(trace_bytes)
             results, errors = [], []
 
             def submit_and_wait():
                 try:
-                    c = ServiceClient(srv.url)
-                    state = c.submit(receipt["digest"], "haccrg-word")
-                    if state["status"] != "done":
-                        state = c.wait(state["job"])
-                    results.append(c.verdict_bytes(state["verdict"]))
+                    with ServiceClient(srv.url) as c:
+                        state = c.submit(receipt["digest"], "haccrg-word")
+                        if state["status"] != "done":
+                            state = c.wait(state["job"])
+                        results.append(c.verdict_bytes(state["verdict"]))
                 except Exception as exc:  # noqa: BLE001 - collected below
                     errors.append(exc)
 
@@ -228,8 +229,8 @@ class TestPolicy:
     def test_rate_limit_429_with_retry_after(self, tmp_path, trace_bytes):
         config = ServiceConfig(port=0, store=str(tmp_path / "store"),
                                workers=0, rate=0.001, burst=2.0)
-        with ServerThread(config) as srv:
-            client = ServiceClient(srv.url, client_id="limited")
+        with ServerThread(config) as srv, \
+                ServiceClient(srv.url, client_id="limited") as client:
             receipt = client.upload(trace_bytes)
             # the upload consumed no tokens; the burst of 2 job
             # submissions is accepted, the third gets 429
@@ -257,8 +258,8 @@ class TestPolicy:
         config = ServiceConfig(port=0, store=str(tmp_path / "store"),
                                workers=0, high_water=1,
                                rate=10_000.0, burst=10_000.0)
-        with ServerThread(config) as srv:
-            client = ServiceClient(srv.url)
+        with ServerThread(config) as srv, \
+                ServiceClient(srv.url) as client:
             receipt = client.upload(trace_bytes)
             # hold the measured queue depth above the high-water mark
             pool = srv.service.pool
@@ -295,8 +296,8 @@ class TestWorkerCrashIsolation:
         config = ServiceConfig(port=0, store=str(tmp_path / "store"),
                                workers=1, retries=0, timeout=60.0,
                                rate=10_000.0, burst=10_000.0)
-        with ServerThread(config) as srv:
-            client = ServiceClient(srv.url)
+        with ServerThread(config) as srv, \
+                ServiceClient(srv.url) as client:
             receipt = client.upload(trace_bytes)
 
             # the pool worker is a child process of this test process

@@ -55,17 +55,15 @@ from repro.analyze.scopes import (
     publishes,
     scope_name,
 )
-from repro.common.bitops import align_up
 from repro.common.types import AccessKind
 from repro.core.racerule import (RACY, SAFE, UNKNOWN, DeviceEndpoint, Ordered,
                                  Race, cross_device_order)
+from repro.gpu.device import DeviceMemory, device_alloc
 
 #: bump when the IR, the pair rule, or the report shape changes
 MG_REPORT_SCHEMA = 1
 
 _WARP = 32
-_ALIGN = 256          #: DeviceMemory.ALLOC_ALIGN, mirrored
-_PAGE = 4096          #: SharedPagePool default page size, mirrored
 
 _READ = int(AccessKind.READ)
 _WRITE = int(AccessKind.WRITE)
@@ -232,18 +230,16 @@ def mg_fuzz_model(program: Dict[str, Any]) -> MGProgram:
 
 
 def mg_device_layout(program: MGProgram) -> Dict[str, int]:
-    """Base device byte of every array: the bump allocator replayed.
+    """Base device byte of every array, allocated in program order.
 
     Multi-GPU systems share one :class:`~repro.gpu.device.DeviceMemory`
     pool, so addresses are globally unique and allocation order fully
-    determines them (align 256, like the single-device layout mirror).
+    determines them: the arrays are allocated on a fresh one, whose
+    value store stays unallocated.
     """
-    layout: Dict[str, int] = {}
-    cursor = 0
-    for a in program.arrays:
-        layout[a.name] = cursor
-        cursor = align_up(cursor + a.length * a.itemsize, _ALIGN)
-    return layout
+    mem = DeviceMemory()
+    return {a.name: device_alloc(mem, a.name, a.length, a.itemsize).base
+            for a in program.arrays}
 
 
 def placement_summary(program: MGProgram,
@@ -256,6 +252,8 @@ def placement_summary(program: MGProgram,
     maps on its home only (remote access would page-fault). The summary
     is what ``repro analyze --gpus N --json`` exposes per device.
     """
+    from repro.multigpu.memory import PAGE_SIZE
+
     if layout is None:
         layout = mg_device_layout(program)
     devices: List[Dict[str, Any]] = []
@@ -264,8 +262,8 @@ def placement_summary(program: MGProgram,
         if a.shared:
             base = layout[a.name]
             nbytes = max(1, a.length * a.itemsize)
-            shared_vpns.update(range(base // _PAGE,
-                                     (base + nbytes - 1) // _PAGE + 1))
+            shared_vpns.update(range(base // PAGE_SIZE,
+                                     (base + nbytes - 1) // PAGE_SIZE + 1))
     for d in range(program.gpus):
         local = [a for a in program.arrays if not a.shared and a.home == d]
         home_shared = [a for a in program.arrays
@@ -280,7 +278,7 @@ def placement_summary(program: MGProgram,
             "shared_bytes": sum(a.length * a.itemsize for a in shared),
         })
     return {
-        "page_size": _PAGE,
+        "page_size": PAGE_SIZE,
         "shared_pages": len(shared_vpns),
         "devices": devices,
     }

@@ -32,8 +32,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.gpu.device import DeviceArray, DeviceMemory, device_alloc
 from repro.gpu.kernel import Kernel
 
 #: bump when program semantics change (part of every content hash)
@@ -123,10 +124,12 @@ def _g_index(st: Dict[str, Any], ctx, threads: int) -> int:
     return base + (idx * st.get("stride", 1) + st.get("shift", 0)) % span
 
 
-def _fuzz_kernel(ctx, g, bbin, locks, program: FuzzProgram):
+def _fuzz_kernel(ctx, g, bbin, locks, threads: int, stmts):
+    """One thread of a program: ``threads`` per block, running ``stmts``
+    (any iterable of statement dicts, consumed once, in order)."""
     sh = ctx.shared.get("sh")
     tid = ctx.thread_linear
-    for st in program.stmts:
+    for st in stmts:
         op = st["op"]
         if op == "barrier":
             yield ctx.syncthreads()
@@ -145,7 +148,7 @@ def _fuzz_kernel(ctx, g, bbin, locks, program: FuzzProgram):
             if "skip_warp_of" in st and \
                     st["skip_warp_of"] // 32 == ctx.global_tid // 32:
                 continue
-            i = _g_index(st, ctx, program.threads)
+            i = _g_index(st, ctx, threads)
             kind = st.get("kind", "write")
             if kind == "write":
                 yield ctx.store(g, i, float(ctx.global_tid + 1))
@@ -180,7 +183,7 @@ def _fuzz_kernel(ctx, g, bbin, locks, program: FuzzProgram):
             yield ctx.store(sh, tid, float(tid))
             if not barriers or barriers[0]:
                 yield ctx.syncthreads()
-            s = program.threads // 2
+            s = threads // 2
             level = 1
             while s > 0:
                 if tid < s:
@@ -221,9 +224,20 @@ def _fuzz_kernel(ctx, g, bbin, locks, program: FuzzProgram):
 def make_kernel(program: FuzzProgram) -> Kernel:
     """Build the generic interpreter kernel for one program."""
     def kernel_fn(ctx, g, bbin, locks):
-        return _fuzz_kernel(ctx, g, bbin, locks, program)
+        return _fuzz_kernel(ctx, g, bbin, locks, program.threads,
+                            program.stmts)
     shared = {"sh": (program.shared_words, 4)} if program.shared_words else {}
     return Kernel(kernel_fn, name=f"fuzz_{program.digest()}", shared=shared)
+
+
+def program_arrays(program: FuzzProgram, mem: DeviceMemory
+                   ) -> Tuple[DeviceArray, DeviceArray, DeviceArray]:
+    """Allocate the kernel's global arrays ``(g, bytes, locks)`` on
+    ``mem``, in the order that fixes their device addresses."""
+    return (device_alloc(mem, "fuzz_g", max(1, program.global_words)),
+            device_alloc(mem, "fuzz_bytes", max(1, program.byte_bytes),
+                         itemsize=1),
+            device_alloc(mem, "fuzz_locks", max(1, program.num_locks)))
 
 
 @dataclass
@@ -255,11 +269,9 @@ def run_program(program: FuzzProgram, detector_config=None,
     for obs in observers:
         sim.add_observer(obs)
 
-    g = sim.malloc("fuzz_g", max(1, program.global_words))
-    bbin = sim.malloc("fuzz_bytes", max(1, program.byte_bytes), itemsize=1)
-    locks = sim.malloc("fuzz_locks", max(1, program.num_locks))
     sim.launch(make_kernel(program), grid=program.blocks,
-               block=program.threads, args=(g, bbin, locks))
+               block=program.threads,
+               args=program_arrays(program, sim.device_mem))
 
     run = ProgramRun()
     run.races = detector.log if detector is not None else None

@@ -141,7 +141,7 @@ def execute_shared(warp: Any, block: Any, code: int,
     hardware's bank-conflict replay.
     """
     # hot loops: index the block's value list directly and complete lanes
-    # inline (pending=None queues the lane for the warp's next refill)
+    # inline (pending=None queues the lane for next_group's generator pump)
     sv = block.shared_values
     if code == OP_LOAD:
         for la, (_, t) in zip(lane_accesses, lanes):

@@ -49,14 +49,29 @@ class ThreadState:
         self.held_locks: List[int] = []
         self.critical_depth = 0
 
-    def advance(self) -> None:
-        """Resume the generator once, capturing the next yielded op."""
-        try:
-            self.pending = self.gen.send(self.send_value)
-        except StopIteration:
-            self.pending = _DONE
-            self.done = True
-        self.send_value = None
+
+def select_group(pairs: Sequence[Tuple[int, ThreadState]]
+                 ) -> Tuple[tuple, List[Tuple[int, ThreadState]]]:
+    """The SIMD group a divergent warp issues next.
+
+    ``pairs`` are the warp's live ``(lane, thread)`` pairs in lane order,
+    each with a pending op, at least one of them not a barrier. Pending
+    ops group by :func:`repro.gpu.ops.group_key`, barrier lanes stay out,
+    and the group whose lowest lane is smallest issues first — except
+    that lock-acquire groups issue last: lanes that already hold a lock
+    must drain their critical sections before spinners retry, which is
+    how the divergent do-while spin-lock idiom behaves on real SIMT
+    hardware (the acquiring branch runs while losers loop). Returns
+    ``(group_key, members)``.
+    """
+    groups: Dict[tuple, List[Tuple[int, ThreadState]]] = {}
+    for pair in pairs:
+        op = pair[1].pending
+        if op[0] == OP_BARRIER:
+            continue
+        groups.setdefault(group_key(op), []).append(pair)
+    key = min(groups, key=lambda k: (k[0] == OP_LOCK, groups[k][0][0]))
+    return key, groups[key]
 
 
 class Warp:
@@ -92,28 +107,6 @@ class Warp:
         """(lane index, state) pairs for lanes that have not finished."""
         return [(i, t) for i, t in enumerate(self.lanes) if not t.done]
 
-    def refill(self) -> None:
-        """Advance every live lane that has no pending op.
-
-        The generator pump is inlined (rather than calling
-        :meth:`ThreadState.advance` per lane) — this is the innermost loop
-        of functional simulation.
-        """
-        for t in self.lanes:
-            if not t.done and t.pending is _DONE:
-                try:
-                    t.pending = t.gen.send(t.send_value)
-                except StopIteration:
-                    t.pending = _DONE
-                    t.done = True
-                t.send_value = None
-
-    def check_finished(self) -> bool:
-        """Mark and report completion once every lane's generator is done."""
-        if not self.finished and all(t.done for t in self.lanes):
-            self.finished = True
-        return self.finished
-
     def next_group(self) -> Optional[Tuple[tuple, List[Tuple[int, ThreadState]]]]:
         """Select the next SIMD group to issue.
 
@@ -121,20 +114,19 @@ class Warp:
         warp has nothing issuable (finished, or all lanes parked at a
         barrier). Barrier groups are deferred until *every* live lane is at
         the barrier, matching reconvergence-before-sync semantics; among
-        divergent non-barrier groups the one whose lowest lane index is
-        smallest issues first (deterministic immediate-post-dominator-free
+        divergent non-barrier groups :func:`select_group` picks the one
+        to issue (a deterministic immediate-post-dominator-free
         approximation of a SIMT stack).
         """
         if self.finished:
             return None
 
         # Single merged sweep over the cached live pairs: pump each lane's
-        # generator if it has no pending op (the refill), classify the op,
-        # and track group-key homogeneity inline — one pass instead of
-        # refill + check_finished + regroup + homogeneity scan. Lanes only
-        # die inside this pump, so the live-pair list is reusable across
-        # calls; a converged warp (the overwhelmingly common case) issues
-        # the cached list itself, with no per-call tuple or list builds.
+        # generator if it has no pending op, classify the op, and track
+        # group-key homogeneity inline. Lanes only die inside this pump,
+        # so the live-pair list is reusable across calls; a converged
+        # warp (the overwhelmingly common case) issues the cached list
+        # itself, with no per-call tuple or list builds.
         pairs = self._pairs
         if pairs is None:
             pairs = self._pairs = [
@@ -189,20 +181,7 @@ class Warp:
         if homogeneous and barrier_lanes == 0:
             return group_key(op0), pairs
 
-        groups: Dict[tuple, List[Tuple[int, ThreadState]]] = {}
-        for pair in pairs:
-            op = pair[1].pending
-            if op[0] == OP_BARRIER:
-                continue
-            groups.setdefault(group_key(op), []).append(pair)
-
-        # Lock-acquire groups issue last: lanes that already hold a lock
-        # must drain their critical sections before spinners retry, which
-        # is how the divergent do-while spin-lock idiom behaves on real
-        # SIMT hardware (the acquiring branch runs while losers loop).
-        key = min(groups,
-                  key=lambda k: (k[0] == OP_LOCK, groups[k][0][0]))
-        return key, groups[key]
+        return select_group(pairs)
 
     def release_barrier(self) -> None:
         """Resume all lanes parked at a barrier (block-wide release)."""

@@ -30,11 +30,15 @@ from repro.gpu.interconnect import PageDirectory
 from repro.vm import PageTable, TaggedTLB
 
 
+#: default page size of every device's page table, in bytes
+PAGE_SIZE = 4096
+
+
 class SharedPagePool:
     """Placement + translation state for an N-device system."""
 
     def __init__(self, num_devices: int, mem: DeviceMemory,
-                 page_size: int = 4096, tlb_entries: int = 16) -> None:
+                 page_size: int = PAGE_SIZE, tlb_entries: int = 16) -> None:
         if num_devices < 1:
             raise ConfigError("a multi-GPU system needs >= 1 device")
         self.num_devices = num_devices

@@ -10,6 +10,7 @@ from repro.analyze import (
 )
 from repro.analyze.lower import A_GLOBAL, LaneAccess, WarpInstr, WarpStream
 from repro.analyze.passes import classify_program
+from repro.common.errors import KernelError
 from repro.core.groundtruth import oracle_races
 from repro.core.racerule import Race, order
 from repro.fuzz.generator import generate_program
@@ -168,6 +169,18 @@ class TestProgramShapes:
                           stmts=({"op": "barrier"},))
         with pytest.raises(ValueError):
             lower_program(bad)
+
+    def test_out_of_range_statement_raises_the_simulators_error(self):
+        # the g statement spans 64 words of a 4-word array; lowering
+        # indexes the simulator's own device array, so both fail alike
+        bad = FuzzProgram(blocks=1, threads=32, global_words=4,
+                          shared_words=0, byte_bytes=0, num_locks=1,
+                          stmts=({"op": "g", "base": 0, "span": 64},))
+        message = "index 4 out of bounds for array 'fuzz_g' of length 4"
+        with pytest.raises(KernelError, match=message):
+            analyze_program(bad)
+        with pytest.raises(KernelError, match=message):
+            record_program(bad)
 
     def test_every_region_has_a_status(self):
         report = analyze_program(generate_program(8))

@@ -188,6 +188,30 @@ class TestByteIdentity:
         assert verdict["result"]["cross_check"]["contradictions"] == []
 
 
+    def test_static_backend_out_of_range_program_is_an_error(
+            self, client, trace_bytes):
+        """A program spec indexing past its arrays fails the job the way
+        the simulator fails it; it never becomes a verdict."""
+        from repro.fuzz.program import FuzzProgram
+
+        bad = FuzzProgram(blocks=1, threads=32, global_words=4,
+                          shared_words=0, byte_bytes=0, num_locks=1,
+                          stmts=({"op": "g", "base": 0, "span": 64},))
+        receipt = client.upload(trace_bytes)
+        state = client.submit(receipt["digest"], "static",
+                              program=bad.record())
+        if state["status"] != "error":
+            with pytest.raises(JobFailed) as exc_info:
+                client.wait(state["job"])
+            state = exc_info.value.state
+        assert state["status"] == "error"
+        assert "KernelError" in state["error"]
+        assert "index 4 out of bounds for array 'fuzz_g'" in state["error"]
+        with pytest.raises(ServiceError) as missing:
+            client.verdict_bytes(state["verdict"])
+        assert missing.value.status == 404
+
+
 class TestCoalescing:
     def test_concurrent_identical_submissions_share_one_replay(
             self, tmp_path, trace_bytes):

@@ -23,8 +23,14 @@ The loop is driven two ways:
   outcome, and stopping settles every job still owed one.
 
 A job submitted with a ``shard`` (a hex key; the service passes the
-trace digest) always runs on worker ``shard % workers``, so one worker
-sees every job of a trace. Other jobs run on any idle worker.
+trace digest) prefers worker ``shard % workers``: an idle worker takes
+the head of its own backlog first, then a job with no shard, and only
+then *spills*, taking the oldest job of the longest backlog whose worker
+is busy (counted in ``stats["spills"]``). So a trace's jobs run on its
+worker whenever that worker is free, and never wait while another
+worker idles. Campaign batches submit no shards. A submission writes a
+byte to a socket pair that the supervisor waits on beside the busy
+workers' pipes, so it is dispatched at once, not at the next 20 ms poll.
 
 ``workers=0`` runs jobs in the supervisor's own thread with the same
 retry loop; per-job timeouts and crash isolation need a second process
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import contextlib
 import queue as stdqueue
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -225,7 +232,8 @@ class WorkerPool:
         self.retries = max(0, int(retries))
         self.worker_busy_seconds: List[float] = []
         self.stats = {"completed": 0, "errors": 0, "timeouts": 0,
-                      "crashes": 0, "retries": 0, "respawns": 0}
+                      "crashes": 0, "retries": 0, "respawns": 0,
+                      "spills": 0}
         #: guards ``stats`` and ``_depth``, and orders submissions
         #: against stopping: a job put on the intake before ``_stop`` is
         #: set is always settled by the supervisor
@@ -234,6 +242,9 @@ class WorkerPool:
         self._intake: "stdqueue.Queue[Optional[_Task]]" = stdqueue.Queue()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
+        #: (read, write) ends of the service's wake-up pair: a submission
+        #: writes a byte so a supervisor waiting on busy workers looks now
+        self._wake: Optional[Tuple[socket.socket, socket.socket]] = None
 
     @property
     def queue_depth(self) -> int:
@@ -280,6 +291,10 @@ class WorkerPool:
             for _ in self._supervise([], self.workers):
                 pass
 
+        if self.workers:  # inline jobs run in the loop: nothing to wake
+            self._wake = socket.socketpair()
+            for end in self._wake:
+                end.setblocking(False)
         self._thread = threading.Thread(target=serve, name="worker-pool",
                                         daemon=True)
         self._thread.start()
@@ -291,13 +306,18 @@ class WorkerPool:
             self._intake.put(None)
             self._thread.join(timeout=30)
             self._thread = None
+        if self._wake is not None:
+            for end in self._wake:
+                end.close()
+            self._wake = None
 
     def submit(self, key: str, record: Dict[str, Any],
                shard: Optional[str] = None) -> "Future[JobOutcome]":
         """Enqueue one job record; the future resolves to its outcome.
 
         Jobs with the same ``shard`` (a hex string, e.g. a digest) run on
-        the same worker.
+        the same worker whenever it is free; while it is busy, an idle
+        worker may take one (a spill).
         """
         from concurrent.futures import Future
 
@@ -309,6 +329,9 @@ class WorkerPool:
                 raise RuntimeError("worker pool is stopped")
             self._depth += 1
             self._intake.put(task)
+            if self._wake is not None:
+                with contextlib.suppress(OSError):  # full: already woken
+                    self._wake[1].send(b"\0")
         return future
 
     # -- the supervisor loop --------------------------------------------
@@ -325,6 +348,7 @@ class WorkerPool:
         from multiprocessing import connection, get_context
 
         n = max(1, n_workers)
+        wake = None if tasks or self._wake is None else self._wake[0]
         owed = len(tasks)
         batch = bool(tasks)
         anywhere: List[_Task] = list(tasks)   # unsharded: any idle worker
@@ -369,26 +393,44 @@ class WorkerPool:
                 except stdqueue.Empty:
                     pass
 
-                # 2. dispatch to idle workers
-                for i, worker in enumerate(workers):
-                    queue = backlog[i] or anywhere
-                    if worker.current is None and queue:
-                        task = queue.pop(0)
-                        task.attempts += 1
-                        worker.dispatch(task, self.timeout)
-                        yield task, worker.worker_id
+                # 2. dispatch to idle workers, those with a backlog first:
+                # own backlog, then unsharded jobs, then a spill (the head
+                # of the longest backlog whose worker is busy)
+                idle = [w for w in workers if w.current is None]
+                for worker in sorted(idle,
+                                     key=lambda w: not backlog[w.worker_id]):
+                    queue = backlog[worker.worker_id] or anywhere
+                    if not queue:
+                        queue = max((b for b, w in zip(backlog, workers)
+                                     if w.current is not None),
+                                    key=len, default=[])
+                        if not queue:
+                            break
+                        with self._lock:
+                            self.stats["spills"] += 1
+                    task = queue.pop(0)
+                    task.attempts += 1
+                    worker.dispatch(task, self.timeout)
+                    yield task, worker.worker_id
                 busy = [w for w in workers if w.current is not None]
                 if not busy:
                     continue
 
                 # 3. drain results (a dead worker's pipe reads as None);
-                # with none, look for overrun or dead workers to replace
+                # with none, look for overrun or dead workers to replace.
+                # A submission's wake-up byte ends the wait early.
                 if self.workers == 0:
                     ready = busy
                 else:
                     conns = {w.conn: w for w in busy}
-                    ready = [conns[c] for c in
-                             connection.wait(list(conns), timeout=0.02)]
+                    ready = []
+                    waitables = [*conns, wake] if wake else list(conns)
+                    for c in connection.wait(waitables, timeout=0.02):
+                        if c is wake:
+                            with contextlib.suppress(OSError):
+                                wake.recv(4096)
+                        else:
+                            ready.append(conns[c])
                 done = [(w, w.receive()) for w in ready]
                 replace = not any(result for _, result in done)
                 if replace:

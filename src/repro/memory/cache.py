@@ -71,9 +71,9 @@ class Cache:
         self.num_sets = size // (assoc * line_size)
         self.name = name
         self._line_shift = log2_exact(line_size)
-        self._sets: List[List[_Line]] = [
-            [_Line() for _ in range(assoc)] for _ in range(self.num_sets)
-        ]
+        # a set's lines are built on its first access; until then it is None
+        # and reads as empty (an untouched L2 slice never builds any)
+        self._sets: List[Optional[List[_Line]]] = [None] * self.num_sets
         self._tick = 0
         self.stats = CacheStats()
         self._shadow_resident = 0
@@ -87,7 +87,7 @@ class Cache:
     def probe(self, addr: int) -> bool:
         """Tag check without any state change (used for coherence checks)."""
         idx, tag = self._set_index(addr)
-        return any(l.tag == tag for l in self._sets[idx])
+        return any(l.tag == tag for l in self._sets[idx] or ())
 
     def access(self, addr: int, is_write: bool = False,
                shadow: bool = False, allocate: bool = True
@@ -106,6 +106,8 @@ class Cache:
             self.stats.shadow_accesses += 1
         idx, tag = self._set_index(addr)
         lines = self._sets[idx]
+        if lines is None:
+            lines = self._sets[idx] = [_Line() for _ in range(self.assoc)]
         for line in lines:
             if line.tag == tag:
                 self.stats.hits += 1
@@ -144,7 +146,7 @@ class Cache:
     def invalidate(self, addr: int) -> bool:
         """Drop the line holding ``addr`` if present (write-evict L1 policy)."""
         idx, tag = self._set_index(addr)
-        for line in self._sets[idx]:
+        for line in self._sets[idx] or ():
             if line.tag == tag:
                 if line.shadow:
                     self._shadow_resident -= 1
@@ -158,7 +160,7 @@ class Cache:
         """Invalidate everything; returns the number of dirty lines dropped."""
         dirty = 0
         for s in self._sets:
-            for line in s:
+            for line in s or ():
                 if line.tag >= 0 and line.dirty:
                     dirty += 1
                 line.tag = -1
@@ -168,4 +170,4 @@ class Cache:
         return dirty
 
     def resident_lines(self) -> int:
-        return sum(1 for s in self._sets for l in s if l.tag >= 0)
+        return sum(1 for s in self._sets for l in s or () if l.tag >= 0)

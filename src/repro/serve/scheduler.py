@@ -2,10 +2,11 @@
 
 Replays run on the campaign engine's :class:`~repro.campaign.pool.
 WorkerPool`, started on its background thread. Each job is submitted
-with its trace digest as the shard, so all verdicts for one trace land
-on one worker: deterministic affinity, one worker's parsed-trace cache
-serves all of a trace's backends, and no two workers ever replay the
-same upload concurrently.
+with its trace digest as the shard, so a trace's jobs run on its worker
+whenever that worker is free, and that worker's parsed-trace cache
+serves most of the trace's backends. While the trace's worker is busy,
+an idle worker may take one of its jobs (a spill) and parse the trace
+itself; verdicts are byte-identical whichever worker computes them.
 
 - :class:`TokenBucket` is the per-client rate limiter: ``rate`` tokens
   per second, ``burst`` capacity; an empty bucket yields 429 with a

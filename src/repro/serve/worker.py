@@ -15,7 +15,7 @@ exact same worker machinery (timeout, retry, crash isolation) as
 campaign cells. It checks the stored bytes against the job's digest
 before it parses them, and keeps the parsed events of the traces it
 replayed last (bounded by their raw size), so the other backends of a
-trace, which shard to the same worker, do not parse it again.
+trace, which prefer the same worker, do not parse it again.
 """
 
 from __future__ import annotations
@@ -87,8 +87,9 @@ class ReplayJob:
 
 #: the parsed events of the traces this process replayed last, least
 #: recently used first, as (raw bytes, events) by digest. Jobs shard by
-#: digest, so one worker runs every backend of a trace and parses it
-#: once while it stays here; the raw sizes sum to at most _PARSED_BYTES.
+#: digest, so a trace's worker runs its backends whenever it is free and
+#: parses it once while it stays here; a job spilled to another worker
+#: parses it there too. The raw sizes sum to at most _PARSED_BYTES.
 _PARSED: "OrderedDict[str, Tuple[int, List[Any]]]" = OrderedDict()
 _PARSED_BYTES = 32 * 1024 * 1024
 _PARSED_LOCK = threading.Lock()

@@ -10,7 +10,8 @@ fresh) can resolve it (:func:`register_probe`). The record's
 - ``"error"``  — raise (exercises retry + terminal ERROR);
 - ``"crash"``  — kill the worker process outright (``os._exit``),
   exercising crash isolation and respawn;
-- ``"sleep"``  — block for ``seconds`` (exercises timeout kill).
+- ``"sleep"``  — block for ``seconds`` (exercises timeout kill), then
+  return the pid like ``"ok"``.
 """
 
 import os
@@ -56,5 +57,6 @@ def execute_probe_record(record):
         os._exit(13)
     if behavior == "sleep":
         time.sleep(float(record.get("seconds", 60.0)))
-        return {"ok": True, "slept": record.get("seconds")}
+        return {"ok": True, "slept": record.get("seconds"),
+                "pid": os.getpid()}
     raise ValueError(f"unknown probe behavior {behavior!r}")

@@ -9,8 +9,10 @@ crash its worker, or many cheap jobs, use the probe kind
 (``tests/_probejob.py``).
 """
 
+import gc
 import multiprocessing
 import os
+import warnings
 
 import pytest
 
@@ -217,3 +219,34 @@ class TestProbes:
         assert all(len(p) == 1 for p in pids.values())
         assert pids["00"] != pids["01"]
         assert pool.stats["completed"] == 8 and pool.queue_depth == 0
+
+    @pytest.mark.slow
+    def test_busy_shard_spills_to_the_idle_worker(self):
+        pool = WorkerPool(workers=2, retries=0)
+        pool.start()
+        try:
+            sleep = pool.submit("sleep", make_record("sleep", seconds=5.0),
+                                "00")
+            quick = pool.submit("quick", make_record("ok"), "00")
+            outcome = quick.result(60)
+            assert not sleep.done()      # settled before the sleep ended
+            assert pool.stats["spills"] == 1
+            slept = sleep.result(60)
+        finally:
+            pool.stop()
+        assert outcome.status == OK and slept.status == OK
+        assert outcome.record["pid"] != slept.record["pid"]
+        assert pool.stats["completed"] == 2 and pool.queue_depth == 0
+
+    @pytest.mark.slow
+    def test_started_and_stopped_pool_leaks_no_socket(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            pool = WorkerPool(workers=1)
+            pool.start()
+            assert pool.submit("k", make_record("ok")).result(60).ok
+            pool.stop()
+            gc.collect()
+        leaks = [w for w in caught
+                 if issubclass(w.category, ResourceWarning)]
+        assert leaks == []

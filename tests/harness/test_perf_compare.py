@@ -248,6 +248,70 @@ class TestHostNoise:
         assert {v["verdict"] for v in verdicts.values()} <= {"-", "equal"}
 
 
+class TestMultipleComparisons:
+    """Holm-Bonferroni over the ~40 metrics one workload judges."""
+
+    #: p = 0.026 against SPREAD, median shift 4.25 against an IQR of 1.75
+    BORDERLINE = [103.0, 103.5, 104.0, 104.5, 105.0, 105.5, 106.0, 106.5,
+                  95.0, 96.0]
+
+    def _verdicts(self, base, change, name="serve.upload_ms"):
+        def runs(samples):
+            out = []
+            for value in samples:
+                metrics = _metrics(1)
+                metrics[name] = value
+                out.append({"trace0": {"rounds": 2, "metrics": _metrics(0)},
+                            "trace1": {"rounds": 2, "metrics": metrics}})
+            return out
+
+        return tool.judge_workload({"base": runs(base),
+                                    "change": runs(change)}, SPEC)
+
+    def test_holm_adjusts_step_down(self):
+        assert tool.holm([0.01, 0.04, 0.03]) == pytest.approx(
+            [0.03, 0.06, 0.06])
+        assert tool.holm([0.5, 0.9]) == [1.0, 1.0]
+        assert tool.holm([]) == []
+
+    def test_borderline_metric_among_forty_is_not_flagged(self):
+        alone = tool.judge_metric(SPREAD, self.BORDERLINE, "lower")
+        assert alone["p"] == pytest.approx(0.026, abs=0.001)
+        assert alone["verdict"] == "worse"
+        verdicts = self._verdicts(SPREAD, self.BORDERLINE)
+        family = [v for v in verdicts.values() if "p" in v]
+        assert len(family) >= 40
+        v = verdicts["serve.upload_ms"]
+        assert v["p_holm"] == min(1.0, len(family) * v["p"])
+        assert v["verdict"] == "-"
+
+    def test_ten_separated_pairs_are_still_flagged(self):
+        v = self._verdicts(SPREAD, [x * 1.1 for x in SPREAD])[
+            "serve.upload_ms"]
+        assert v["wins"] == 0
+        assert v["p_holm"] < tool.ALPHA
+        assert v["verdict"] == "worse"
+
+    def test_five_pairs_flag_nothing(self):
+        """The least two-sided U p at 5 pairs, 2/252, is above 0.05/40."""
+        v = self._verdicts(SPREAD[:5], [x * 2 for x in SPREAD[:5]])[
+            "serve.upload_ms"]
+        assert v["p"] == pytest.approx(2 / 252)
+        assert v["verdict"] == "-"
+
+    def test_end_to_end_regression_is_not_corrected(self):
+        def runs(scale):
+            return [{"trace0": {"rounds": 2, "metrics": dict(
+                        _metrics(0), job_p95_ms=scale * x)},
+                     "trace1": {"rounds": 2, "metrics": _metrics(1)}}
+                    for x in SPREAD[:5]]
+
+        v = tool.judge_workload({"base": runs(1.0), "change": runs(2.0)},
+                                SPEC)["job_p95_ms"]
+        assert v["p_holm"] >= tool.ALPHA
+        assert v["verdict"] == "regression"
+
+
 class TestRuns:
     def test_loading_the_tool_leaves_scipy_unimported(self):
         """perfbench children inherit the tool's peak RSS, so loading

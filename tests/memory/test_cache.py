@@ -86,6 +86,14 @@ class TestInvalidate:
     def test_invalidate_absent_returns_false(self):
         assert not make().invalidate(0)
 
+    def test_untouched_sets_read_as_empty(self):
+        c = make()
+        assert not c.probe(64)
+        assert c.resident_lines() == 0 and c.flush() == 0
+        c.access(64, is_write=True)
+        assert c.probe(64) and not c.probe(0)
+        assert c.resident_lines() == 1 and c.flush() == 1
+
     def test_flush_counts_dirty(self):
         c = make()
         c.access(0, is_write=True)

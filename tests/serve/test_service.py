@@ -309,6 +309,33 @@ class TestPolicy:
 
 
 @pytest.mark.slow
+class TestSpill:
+    def test_busy_trace_worker_spills_with_identical_verdicts(
+            self, tmp_path, events, trace_bytes):
+        """Jobs of one trace submitted together do not all wait for its
+        worker: the idle worker takes one, counted as ``pool_spills``,
+        and every verdict still equals the in-process one."""
+        from repro.serve.backends import get_backend
+
+        config = ServiceConfig(port=0, store=str(tmp_path / "store"),
+                               workers=2, retries=0, timeout=60.0,
+                               rate=10_000.0, burst=10_000.0)
+        names = ("haccrg-bloom", "haccrg-full", "oracle")
+        with ServerThread(config) as srv, \
+                ServiceClient(srv.url) as client:
+            digest = client.upload(trace_bytes)["digest"]
+            # the first job holds the trace's worker while it starts up
+            states = [client.submit(digest, name) for name in names]
+            verdicts = [client.verdict_bytes(
+                client.wait(state["job"], timeout=120)["verdict"])
+                for state in states]
+            assert client.metrics()["pool_spills"] >= 1
+        for name, got in zip(names, verdicts):
+            assert got == canonical_json(verdict_record(
+                digest, get_backend(name), events)).encode("utf-8")
+
+
+@pytest.mark.slow
 class TestWorkerCrashIsolation:
     def test_worker_death_fails_the_job_not_the_service(self, tmp_path,
                                                         trace_bytes):

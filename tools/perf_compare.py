@@ -34,8 +34,13 @@ same round count do not. Every other metric gets each side's
 median and IQR, "better in n/K pairs" (ties count for neither side),
 the median shift against the base's IQR, and the two-sided
 Mann-Whitney U p. It is flagged
-``better`` or ``worse`` when p < 0.05 and the median shift is larger
-than the base's IQR. An end-to-end metric is a ``regression`` when the
+``better`` or ``worse`` when the median shift is larger than the base's
+IQR and its p, Holm-Bonferroni adjusted over every such metric of the
+workload (``p_holm``, see :func:`holm`), is below 0.05. A workload
+judges 41 such metrics, so 6 pairs or fewer flag nothing: the least
+two-sided U p is 2/252 = 0.0079 at 5 pairs and 2/924 = 0.0022 at 6,
+both above 0.05/41 = 0.0012 (at 10 pairs it is 1.8e-4). An
+end-to-end metric is a ``regression`` when the
 change's median is worse than the base's by more than its bound in
 ``BENCHMARK.json`` and the change is also worse in most pairs. It is
 ``unresolved`` when its median is worse by more than the bound in no
@@ -192,6 +197,22 @@ def judge_metric(base: Sequence[float], change: Sequence[float],
     return out
 
 
+def holm(ps: Sequence[float]) -> List[float]:
+    """Holm-Bonferroni step-down adjusted p-values, in the input order.
+
+    The k-th smallest of m p-values is multiplied by m - k + 1 (k from
+    1), capped at 1, and never falls below the one before it. Flagging
+    those below ``ALPHA`` keeps the chance that any of the m flags is a
+    false alarm at or below ``ALPHA``.
+    """
+    adjusted = [1.0] * len(ps)
+    running = 0.0
+    for rank, i in enumerate(sorted(range(len(ps)), key=ps.__getitem__)):
+        running = max(running, min(1.0, (len(ps) - rank) * ps[i]))
+        adjusted[i] = running
+    return adjusted
+
+
 def judge_count(base: Sequence[Tuple[int, float]],
                 change: Sequence[Tuple[int, float]]) -> Dict[str, Any]:
     """Compare (rounds, total) samples of one count metric exactly.
@@ -256,6 +277,13 @@ def judge_workload(runs: Dict[str, List[Dict[str, Any]]],
                 layer_samples("base", m["name"], m["unit"]),
                 layer_samples("change", m["name"], m["unit"]),
                 m["better"])
+    # a flag must survive the correction for the workload's many tests;
+    # the end-to-end regression and unresolved verdicts stay as judged
+    timed = [v for v in out.values() if "p" in v]
+    for v, p in zip(timed, holm([v["p"] for v in timed])):
+        v["p_holm"] = p
+        if v["verdict"] in ("better", "worse") and p >= ALPHA:
+            v["verdict"] = "-"
     return out
 
 
@@ -290,7 +318,7 @@ def render(workload: str, verdicts: Dict[str, Dict[str, Any]]) -> str:
 
     lines = [f"== {workload}", f"{'metric':30} {'base median (IQR)':>22} "
              f"{'change median (IQR)':>22} {'better':>7} {'shift/IQR':>9} "
-             f"{'p':>7}  verdict"]
+             f"{'p':>7} {'p_holm':>7}  verdict"]
     for name, v in verdicts.items():
         timed = "p" in v
         wins = f"{v['wins']}/{v['pairs']}" if timed else ""
@@ -298,7 +326,9 @@ def render(workload: str, verdicts: Dict[str, Dict[str, Any]]) -> str:
             f"{name:30} {cell(v['base_median'], v.get('base_iqr')):>22} "
             f"{cell(v['change_median'], v.get('change_iqr')):>22} "
             f"{wins:>7} {_fmt(v['shift_vs_iqr']) if timed else '':>9} "
-            f"{format(v['p'], '.3g') if timed else '':>7}  {v['verdict']}")
+            f"{format(v['p'], '.3g') if timed else '':>7} "
+            f"{format(v['p_holm'], '.3g') if timed else '':>7}  "
+            f"{v['verdict']}")
     return "\n".join(lines)
 
 
